@@ -26,7 +26,6 @@ from .counting import (
 )
 from .errors import (
     BudgetError,
-    CountOverflowError,
     DomainError,
     Graph6Error,
     ParameterError,
@@ -66,7 +65,6 @@ __version__ = "0.1.0"
 __all__ = [
     "BudgetError",
     "CanonicalCertificate",
-    "CountOverflowError",
     "DomainError",
     "EXHAUSTIVE_CAP",
     "ExtremalResult",

@@ -8,7 +8,6 @@ Exit codes:
   1  an asserted verification row failed
   2  malformed input or bad parameters
   3  ``check`` found an unsaturated graph
-  4  reserved for count overflow (unreachable: counts are exact big ints)
   5  search budget exceeded (n above the exhaustive cap, or timeout)
 """
 
@@ -16,19 +15,12 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from . import formulas
 from .canonical import canonical_certificate
 from .counting import MotifSpec, count_matchings, count_motif
-from .errors import (
-    BudgetError,
-    CountOverflowError,
-    Graph6Error,
-    ParameterError,
-    SatlabError,
-)
+from .errors import BudgetError, Graph6Error, ParameterError, SatlabError
 from .graphs import Graph, from_graph6, make_split, to_graph6
 from .saturation import check_saturation
 from .search import SearchBudget, extremal_count
@@ -37,7 +29,6 @@ EXIT_OK = 0
 EXIT_ASSERT_FAIL = 1
 EXIT_INPUT = 2
 EXIT_UNSATURATED = 3
-EXIT_OVERFLOW = 4
 EXIT_BUDGET = 5
 
 GRAPH6_HEADER = ">>graph6<<"
@@ -82,9 +73,12 @@ def _parse_range(text: str) -> range:
     if not sep:
         raise ParameterError(f"range must look like 4..8, got {text!r}")
     try:
-        return range(int(lo), int(hi) + 1)
+        lo, hi = int(lo), int(hi)
     except ValueError as exc:
         raise ParameterError(f"bad range {text!r}") from exc
+    if lo > hi:
+        raise ParameterError(f"empty range {text!r}")
+    return range(lo, hi + 1)
 
 
 def _dump(obj: dict) -> None:
@@ -125,11 +119,9 @@ def cmd_count(args: argparse.Namespace) -> int:
 
 
 def cmd_search(args: argparse.Namespace) -> int:
-    try:
-        shards = int(os.environ.get("SATLAB_SHARDS", args.shards))
-    except ValueError as exc:
-        raise ParameterError(f"SATLAB_SHARDS is not an integer: {exc}") from exc
-    budget = SearchBudget(parallel_shards=shards, time_limit=args.time_limit)
+    if args.shards < 1:
+        raise ParameterError("shard count must be positive")
+    budget = SearchBudget(time_limit=args.time_limit)
     result = extremal_count(args.n, args.s, _parse_motif(args.motif), args.mode, budget)
     _dump(result.to_json_dict())
     return EXIT_OK
@@ -199,9 +191,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="satlab",
         description="Constructions, saturation checks, exact motif counts, and extremal search.",
     )
-    parser.add_argument(
-        "--seed", type=int, default=0, help="seed for seeded operations (default 0)"
-    )
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     p = sub.add_parser("construct", help="emit a named construction as graph6")
@@ -227,7 +216,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--s", type=int, required=True)
     p.add_argument("--motif", required=True)
     p.add_argument("--mode", choices=("min", "max"), default="min")
-    p.add_argument("--shards", type=int, default=1, help="overridden by SATLAB_SHARDS")
+    p.add_argument("--shards", type=int, default=1, help="accepted, has no effect")
     p.add_argument("--time-limit", type=float, default=None)
     p.set_defaults(func=cmd_search)
 
@@ -251,9 +240,6 @@ def main(argv: list[str] | None = None) -> int:
     except BudgetError as exc:
         print(f"budget error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except CountOverflowError as exc:
-        print(f"overflow: {exc}", file=sys.stderr)
-        return EXIT_OVERFLOW
     except (Graph6Error, ParameterError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT

@@ -52,7 +52,7 @@ def count_motif(g: Graph, motif: MotifSpec) -> int:
     return count_indep_sets(g, motif.size)
 
 
-def count_matchings(g: Graph, k: int, *, memoize: bool = True) -> int:
+def count_matchings(g: Graph, k: int) -> int:
     """Number of sets of k pairwise-disjoint edges."""
     if k < 0:
         raise ParameterError("matching size must be nonnegative")
@@ -75,18 +75,17 @@ def count_matchings(g: Graph, k: int, *, memoize: bool = True) -> int:
             rows[nv] |= 1 << perm[low.bit_length() - 1]
             r ^= low
 
-    memo: dict[int, int] | None = {} if memoize else None
+    memo: dict[int, int] = {}
 
     def rec(active: int, need: int) -> int:
         if need == 0:
             return 1
         if active.bit_count() < 2 * need:
             return 0
-        if memo is not None:
-            key = (active << 9) | need
-            hit = memo.get(key)
-            if hit is not None:
-                return hit
+        key = (active << 9) | need
+        hit = memo.get(key)
+        if hit is not None:
+            return hit
         pivot = active & -active
         rest = active ^ pivot
         total = rec(rest, need)
@@ -95,8 +94,7 @@ def count_matchings(g: Graph, k: int, *, memoize: bool = True) -> int:
             low = nb & -nb
             nb ^= low
             total += rec(rest ^ low, need - 1)
-        if memo is not None:
-            memo[key] = total
+        memo[key] = total
         return total
 
     return rec((1 << n) - 1, k)

@@ -23,14 +23,5 @@ class DomainError(ParameterError):
     """A closed-form evaluator was asked for a value outside its domain."""
 
 
-class CountOverflowError(SatlabError):
-    """A count exceeded the backing integer width.
-
-    Counts are Python ints and therefore arbitrary precision, so this is
-    never raised by the built-in counters; it exists so that callers (and
-    the CLI's exit-code contract) have a stable name for the condition.
-    """
-
-
 class BudgetError(SatlabError):
     """A search exceeded its configured budget (size cap or time limit)."""

@@ -1,10 +1,8 @@
 """Exhaustive extremal search over saturated graphs, plus random sampling.
 
 Exhaustive mode enumerates every isomorphism class on n <= 8 vertices,
-keeps the K_s-saturated ones, and scans a motif count over them.  The
-scan is split into round-robin shards that are processed independently
-and merged in certificate order, so the result is byte-identical for any
-shard count.  Beyond the exhaustive cap, ``random_saturated`` samples
+keeps the K_s-saturated ones, and scans a motif count over them in
+certificate order.  Beyond the exhaustive cap, ``random_saturated`` samples
 maximal K_s-free graphs by seeded greedy completion and
 ``probe_conjecture`` compares sampled minima against the split-graph
 count.
@@ -12,6 +10,7 @@ count.
 
 from __future__ import annotations
 
+import math
 import random
 import time
 from collections import Counter
@@ -29,17 +28,20 @@ EXHAUSTIVE_CAP = 8
 
 @dataclass(frozen=True)
 class SearchBudget:
-    """Limits for exhaustive search: size cap, shard count, optional seconds."""
+    """Limits for exhaustive search: size cap and optional seconds.
+
+    The ``time_limit`` clock starts before enumeration but is read only
+    between saturated classes, so enumeration itself is not interrupted.
+    """
 
     max_n: int = EXHAUSTIVE_CAP
-    parallel_shards: int = 1
     time_limit: float | None = None
 
     def __post_init__(self):
         if not 1 <= self.max_n <= EXHAUSTIVE_CAP:
             raise ParameterError(f"exhaustive cap must be in 1..{EXHAUSTIVE_CAP}")
-        if self.parallel_shards < 1:
-            raise ParameterError("shard count must be positive")
+        if self.time_limit is not None and not 0 < self.time_limit < math.inf:
+            raise ParameterError(f"time limit must be finite and positive, got {self.time_limit}")
 
 
 @dataclass(frozen=True)
@@ -95,16 +97,13 @@ def extremal_count(
     if mode not in ("min", "max"):
         raise ParameterError(f"mode must be 'min' or 'max', got {mode!r}")
     budget = budget or SearchBudget()
-    reps = list(enumerate_saturated(n, s, budget))
-    shards = [reps[i :: budget.parallel_shards] for i in range(budget.parallel_shards)]
-    deadline = time.monotonic() + budget.time_limit if budget.time_limit else None
+    deadline = None if budget.time_limit is None else time.monotonic() + budget.time_limit
     scored: list[tuple[int, CanonicalCertificate]] = []
-    for shard in shards:
-        for g in shard:
-            if deadline is not None and time.monotonic() > deadline:
-                raise BudgetError(f"time limit of {budget.time_limit}s exceeded")
-            # representatives come out of enumerate_saturated already canonical
-            scored.append((count_motif(g, motif), CanonicalCertificate(to_graph6(g))))
+    for g in enumerate_saturated(n, s, budget):
+        if deadline is not None and time.monotonic() > deadline:
+            raise BudgetError(f"time limit of {budget.time_limit}s exceeded")
+        # representatives come out of enumerate_saturated already canonical
+        scored.append((count_motif(g, motif), CanonicalCertificate(to_graph6(g))))
     histogram = Counter(value for value, _ in scored)
     pick = min if mode == "min" else max
     optimum = pick(histogram)
@@ -117,7 +116,7 @@ def extremal_count(
         optimum=optimum,
         extremal=extremal,
         unique=len(extremal) == 1,
-        classes=len(reps),
+        classes=len(scored),
         histogram=dict(sorted(histogram.items())),
     )
 

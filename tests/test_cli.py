@@ -1,6 +1,8 @@
 import io
 import json
 
+import pytest
+
 from satlab import (
     Graph,
     canonical_certificate,
@@ -167,17 +169,26 @@ class TestSearch:
             outputs.add(out)
         assert len(outputs) == 1
 
-    def test_env_var_overrides_shards(self, capsys, monkeypatch):
-        code, base, _ = run(capsys, ["search", "--n", "5", "--s", "3", "--motif", "matching:2"])
-        monkeypatch.setenv("SATLAB_SHARDS", "7")
-        code2, out, _ = run(
-            capsys, ["search", "--n", "5", "--s", "3", "--motif", "matching:2", "--shards", "1"]
-        )
+    def test_removed_knobs_ignored_or_rejected(self, capsys, monkeypatch):
+        argv = ["search", "--n", "5", "--s", "3", "--motif", "matching:2"]
+        code, base, _ = run(capsys, argv)
+        monkeypatch.setenv("SATLAB_SHARDS", "junk")
+        code2, out, _ = run(capsys, argv)
         assert code == code2 == 0
         assert out == base
-        monkeypatch.setenv("SATLAB_SHARDS", "junk")
-        code3, _, _ = run(capsys, ["search", "--n", "5", "--s", "3", "--motif", "matching:2"])
+        code3, _, _ = run(capsys, argv + ["--shards", "0"])
         assert code3 == 2
+        with pytest.raises(SystemExit) as exc:
+            main(["--seed", "3", "construct", "--empty", "3"])
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize("limit", ["0", "-1", "nan"])
+    def test_bad_time_limit_exits_two(self, capsys, limit):
+        code, _, err = run(
+            capsys, ["search", "--n", "5", "--s", "3", "--motif", "matching:2", "--time-limit", limit]
+        )
+        assert code == 2
+        assert "time limit" in err
 
     def test_repeat_runs_byte_identical(self, capsys):
         _, first, _ = run(capsys, ["search", "--n", "6", "--s", "3", "--motif", "indepset:2"])
@@ -234,6 +245,12 @@ class TestVerify:
     def test_bad_range_exits_two(self, capsys):
         code, _, _ = run(capsys, ["verify", "--theorem", "ehm", "--n-range", "4-8", "--s", "3"])
         assert code == 2
+
+    def test_empty_range_exits_two(self, capsys):
+        code, out, err = run(capsys, ["verify", "--theorem", "ehm", "--n-range", "8..4", "--s", "3"])
+        assert code == 2
+        assert out == ""
+        assert "empty range" in err
 
     def test_budget_exit_five(self, capsys):
         code, _, _ = run(capsys, ["verify", "--theorem", "ehm", "--n-range", "8..9", "--s", "3"])
