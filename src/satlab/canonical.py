@@ -5,11 +5,25 @@ from the unit partition, split cells by adjacency counts into every cell
 until the partition is equitable, then backtrack over the vertices of the
 first non-singleton cell.  Among all discrete partitions reached, the one
 whose adjacency upper triangle (column-major, as in graph6) is
-lexicographically smallest defines the canonical labeling.  Two prunings
-keep the tree small: branches whose fixed prefix already compares greater
-than the incumbent are cut, and branch targets equivalent to an
-already-explored target under the automorphisms discovered so far are
-skipped.  Automorphisms fall out of pairs of leaves with equal encodings.
+lexicographically smallest defines the canonical labeling.  Pruning follows
+nauty (McKay 1981, "Practical graph isomorphism"; McKay & Piperno 2014):
+
+* Branches whose fixed prefix already compares greater than the incumbent
+  are cut.
+* Each leaf is compared with the first leaf and with the best one.  Equal
+  encodings give an automorphism mapping that leaf's path onto this one.
+  It fixes the common prefix of the two paths, so the rest of this leaf's
+  branch below their last common node is the image of a branch already
+  explored: the search unwinds straight back to that node.
+* Every node on the current path keeps the orbits of the automorphisms
+  found so far that fix its prefix, as a union-find built when it tries
+  its second child; each new automorphism is merged into the nodes whose
+  prefix it fixes.  A branch target that is not the minimum of its orbit
+  is equivalent to one already explored and is skipped.
+
+None of this changes which leaf is best, only how many are visited, and
+the automorphisms found generate the whole group, one per jump: n - 1 of
+them for the empty and complete graphs.
 
 Certificates are the graph6 bytes of the canonical form, so they decode
 back to a concrete representative and sort in a stable, platform-free way.
@@ -19,6 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from math import prod
 
 from .errors import ParameterError
 from .graphs import Graph, from_graph6, to_graph6
@@ -84,14 +99,40 @@ def _triangle_key(rows: tuple[int, ...], lab: list[int]) -> int:
     return key
 
 
+def _find(parent: list[int], x: int) -> int:
+    while parent[x] != x:
+        parent[x] = parent[parent[x]]
+        x = parent[x]
+    return x
+
+
+def _merge(parent: list[int], perm: tuple[int, ...]) -> None:
+    """Join the orbits of perm into the union-find; each root is its orbit's minimum."""
+    for a, b in enumerate(perm):
+        if a != b:
+            ra, rb = _find(parent, a), _find(parent, b)
+            if ra < rb:
+                parent[rb] = ra
+            elif rb < ra:
+                parent[ra] = rb
+
+
 class _CanonicalSearch:
     def __init__(self, rows: tuple[int, ...], n: int):
         self.rows = rows
         self.n = n
+        self.first_key: int | None = None
+        self.first_lab: list[int] | None = None
+        self.first_path: list[int] | None = None
         self.best_key: int | None = None
         self.best_lab: list[int] | None = None
+        self.best_path: list[int] | None = None
         self.best_prefix: dict[int, int] = {}
         self.generators: list[tuple[int, ...]] = []
+        # orbits[d]: union-find over the generators fixing the first d
+        # vertices of the current path, built when that node tries its
+        # second child (None before)
+        self.orbits: list[list[int] | None] = []
 
     def run(self) -> tuple[list[int], list[tuple[int, ...]]]:
         if self.n == 0:
@@ -107,7 +148,12 @@ class _CanonicalSearch:
             self.best_prefix[t] = key
         return key
 
-    def _descend(self, cells: list[list[int]], fixed: list[int]) -> None:
+    def _descend(self, cells: list[list[int]], fixed: list[int]) -> int | None:
+        """Search below the node that individualized fixed.
+
+        Returns None, or the depth of the ancestor to resume at when the rest
+        of this subtree is the image of an explored one under a new generator.
+        """
         cells = _refine(self.rows, cells)
         branch_at = None
         for i, cell in enumerate(cells):
@@ -115,57 +161,75 @@ class _CanonicalSearch:
                 branch_at = i
                 break
         if branch_at is None:
-            lab = [cell[0] for cell in cells]
-            key = _triangle_key(self.rows, lab)
-            if self.best_key is None or key < self.best_key:
-                self.best_key = key
-                self.best_lab = lab
-                self.best_prefix = {}
-            elif key == self.best_key:
-                perm = [0] * self.n
-                for u, w in zip(self.best_lab, lab):
-                    perm[u] = w
-                self.generators.append(tuple(perm))
-            return
+            return self._leaf([cell[0] for cell in cells], fixed)
         if self.best_key is not None:
             # all leaves below share the labels of the leading singletons
             t = branch_at
             partial = _triangle_key(self.rows, [cells[i][0] for i in range(t)])
             if partial > self._prefix_key(t):
-                return
+                return None
+        depth = len(fixed)
+        self.orbits.append(None)
         cell = cells[branch_at]
-        tried: list[int] = []
-        for v in sorted(cell):
-            if tried and self._in_explored_orbit(v, tried, fixed):
-                continue
-            tried.append(v)
+        targets = sorted(cell)
+        for v in targets:
+            if v != targets[0]:
+                # generators fixing the path preserve the cell, so v is
+                # equivalent to an explored target exactly when it is not
+                # its orbit's minimum
+                parent = self.orbits[depth]
+                if parent is None:
+                    parent = self.orbits[depth] = self._stabilizer_orbits(fixed)
+                if _find(parent, v) != v:
+                    continue
             child = (
                 cells[:branch_at]
                 + [[v], [w for w in cell if w != v]]
                 + cells[branch_at + 1 :]
             )
-            self._descend(child, fixed + [v])
+            resume = self._descend(child, fixed + [v])
+            if resume is not None and resume < depth:
+                self.orbits.pop()
+                return resume
+        self.orbits.pop()
+        return None
 
-    def _in_explored_orbit(self, v: int, tried: list[int], fixed: list[int]) -> bool:
-        """Is v equivalent to an explored target under automorphisms fixing the path?"""
-        useful = [g for g in self.generators if all(g[x] == x for x in fixed)]
-        if not useful:
-            return False
+    def _stabilizer_orbits(self, fixed: list[int]) -> list[int]:
         parent = list(range(self.n))
+        for g in self.generators:
+            if all(g[x] == x for x in fixed):
+                _merge(parent, g)
+        return parent
 
-        def find(x: int) -> int:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for g in useful:
-            for a, b in enumerate(g):
-                ra, rb = find(a), find(b)
-                if ra != rb:
-                    parent[ra] = rb
-        rv = find(v)
-        return any(find(u) == rv for u in tried)
+    def _leaf(self, lab: list[int], fixed: list[int]) -> int | None:
+        key = _triangle_key(self.rows, lab)
+        if self.best_key is None:
+            self.first_key, self.first_lab, self.first_path = key, lab, fixed
+            self.best_key, self.best_lab, self.best_path = key, lab, fixed
+            return None
+        if key == self.first_key:
+            match_lab, match_path = self.first_lab, self.first_path
+        elif key == self.best_key:
+            match_lab, match_path = self.best_lab, self.best_path
+        else:
+            if key < self.best_key:
+                self.best_key, self.best_lab, self.best_path = key, lab, fixed
+                self.best_prefix = {}
+            return None
+        perm = [0] * self.n
+        for u, w in zip(match_lab, lab):
+            perm[u] = w
+        gen = tuple(perm)
+        self.generators.append(gen)
+        # gen maps the matched path onto this one, so it fixes their common
+        # prefix; below it this leaf's branch is the image of the matched one
+        common = 0
+        while match_path[common] == fixed[common]:
+            common += 1
+        for parent in self.orbits[: common + 1]:
+            if parent is not None:
+                _merge(parent, gen)
+        return common
 
 
 def canonical_labeling(g: Graph) -> tuple[int, ...]:
@@ -202,25 +266,77 @@ def are_isomorphic(g: Graph, h: Graph) -> bool:
 
 
 def automorphism_generators(g: Graph) -> list[tuple[int, ...]]:
-    """Generators of the automorphism group, as discovered by the search."""
+    """Generators of the automorphism group, as discovered by the search.
+
+    One per leaf whose encoding equals the first or the best leaf's, each
+    g[v] = image of v; after each the search unwinds past the branch it
+    makes redundant, so few are kept (n - 1 for the empty graph, where
+    every leaf is an automorphic image of the first).  Together they
+    generate the whole group.
+    """
     _, gens = _CanonicalSearch(g.rows, g.n).run()
     return gens
 
 
 def automorphism_group_order(g: Graph) -> int:
-    """Order of the automorphism group (closure of the discovered generators)."""
-    gens = automorphism_generators(g)
-    identity = tuple(range(g.n))
-    seen = {identity}
-    frontier = [identity]
-    while frontier:
-        p = frontier.pop()
-        for gen in gens:
-            q = tuple(gen[x] for x in p)
-            if q not in seen:
-                seen.add(q)
-                frontier.append(q)
-    return len(seen)
+    """Order of the automorphism group.
+
+    The search's generators generate the whole group; its order is the
+    product of the basic orbit lengths of a Schreier–Sims stabilizer chain
+    built from them, so the group is never listed.
+    """
+    return _group_order(g.n, automorphism_generators(g))
+
+
+def _group_order(n: int, gens: list[tuple[int, ...]]) -> int:
+    """Order of the permutation group on range(n) generated by gens.
+
+    Knuth's incremental Schreier–Sims ("Efficient representation of perm
+    groups", Combinatorica 11, 1991), with base 0, 1, ..., n-1.  Level k
+    holds generators strong[k] of G_k, the stabilizer of 0..k-1, and
+    coset representatives reps[k][j] mapping k to j, so that
+    |G| = prod_k |reps[k]|.  Permutations compose left to right:
+    (a*b)[x] = b[a[x]].  Work items run from a stack: ("add", k, t) puts t
+    into G_k unless it already sifts through levels k.., and ("rep", k, t)
+    gives t's coset a representative or sifts the Schreier generator
+    t * reps[k][t[k]]^-1 into level k+1.
+    """
+    identity = tuple(range(n))
+    reps = [{k: (identity, identity)} for k in range(n)]
+    strong: list[list[tuple[int, ...]]] = [[] for _ in range(n)]
+
+    def sifts(k: int, t: tuple[int, ...]) -> bool:
+        for level in range(k, n):
+            j = t[level]
+            if j != level:
+                rep = reps[level].get(j)
+                if rep is None:
+                    return False
+                inv = rep[1]
+                t = tuple(inv[x] for x in t)
+        return True
+
+    work = [("add", 0, gen) for gen in reversed(gens)]
+    while work:
+        kind, k, t = work.pop()
+        if kind == "add":
+            if not sifts(k, t):
+                strong[k].append(t)
+                work += [("rep", k, tuple(t[x] for x in u)) for u, _ in reps[k].values()]
+            continue
+        j = t[k]
+        rep = reps[k].get(j)
+        if rep is None:
+            inv = [0] * n
+            for x, y in enumerate(t):
+                inv[y] = x
+            reps[k][j] = (t, tuple(inv))
+            work += [("rep", k, tuple(s[x] for x in t)) for s in strong[k]]
+        else:
+            residue = tuple(rep[1][x] for x in t)
+            if residue != identity:
+                work.append(("add", k + 1, residue))
+    return prod(len(level) for level in reps)
 
 
 def _mask_orbit_reps(num_bits: int, gens: list[tuple[int, ...]]) -> list[int]:

@@ -150,6 +150,17 @@ def brute_certificate(g: Graph) -> tuple:
     return best
 
 
+def brute_automorphism_count(g: Graph) -> int:
+    """Number of the n! vertex permutations that map the edge set onto itself."""
+    pairs = list(g.edges())
+    edges = {frozenset(e) for e in pairs}
+    return sum(
+        1
+        for perm in permutations(range(g.n))
+        if all(frozenset((perm[u], perm[v])) in edges for u, v in pairs)
+    )
+
+
 def random_permutation(n: int, seed: int) -> list[int]:
     perm = list(range(n))
     random.Random(seed).shuffle(perm)

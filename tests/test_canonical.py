@@ -1,10 +1,12 @@
 from itertools import permutations
+from math import factorial
 
 import pytest
 
 from satlab import (
     Graph,
     are_isomorphic,
+    automorphism_generators,
     automorphism_group_order,
     canonical_certificate,
     canonical_form,
@@ -14,10 +16,20 @@ from satlab import (
     nonisomorphic_graphs,
     to_graph6,
 )
-from oracles import all_labeled_graphs, brute_certificate, random_graph, random_permutation
+from oracles import (
+    all_labeled_graphs,
+    brute_automorphism_count,
+    brute_certificate,
+    random_graph,
+    random_permutation,
+)
 
 C5 = Graph.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)])
 P3 = Graph.from_edges(3, [(0, 1), (1, 2)])
+
+
+def perfect_matching(n: int) -> Graph:
+    return Graph.from_edges(n, [(2 * i, 2 * i + 1) for i in range(n // 2)])
 
 
 def test_certificate_invariant_under_explicit_relabeling():
@@ -108,10 +120,37 @@ CUBE = Graph.from_edges(
         (Graph.from_edges(6, [(0, 3), (0, 4), (0, 5), (1, 3), (1, 4), (1, 5), (2, 3), (2, 4), (2, 5)]), 72),
         (PETERSEN, 120),
         (CUBE, 48),
+        (Graph.empty(20), factorial(20)),
+        (make_split(20, 2), factorial(2) * factorial(18)),
+        (perfect_matching(16), 2**8 * factorial(8)),
     ],
 )
 def test_automorphism_group_orders(graph, order):
     assert automorphism_group_order(graph) == order
+
+
+def test_automorphism_group_order_matches_permutation_count():
+    for n in range(1, 8):
+        for seed in range(6):
+            g = random_graph(n, 3100 * n + seed, p=(0.2, 0.5, 0.8)[seed % 3])
+            assert automorphism_group_order(g) == brute_automorphism_count(g), (n, seed)
+
+
+@pytest.mark.parametrize("n", [32, 64])
+@pytest.mark.parametrize(
+    "family",
+    [Graph.empty, Graph.complete, perfect_matching, lambda n: make_split(n, 2)],
+    ids=["empty", "complete", "matching", "split2"],
+)
+def test_symmetric_graphs_certify_with_few_generators(family, n):
+    # these searches used to keep every automorphism they met and did not
+    # finish at n = 64; the degree sequence determines each of these classes
+    g = family(n)
+    cert = canonical_certificate(g)
+    assert canonical_certificate(g.relabel(random_permutation(n, 4100 + n))) == cert
+    decoded = certificate_graph(cert)
+    assert sorted(decoded.degree_sequence()) == sorted(g.degree_sequence())
+    assert len(automorphism_generators(g)) <= n - 1
 
 
 def test_certificate_invariance_on_vertex_transitive_graphs():

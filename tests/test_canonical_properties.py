@@ -1,0 +1,43 @@
+"""Property tests of canonical certificates on Hypothesis-drawn graphs.
+
+Derandomized, so every run draws the same examples.
+"""
+
+from hypothesis import given, settings, strategies as st
+
+from satlab import Graph, canonical_certificate
+from oracles import brute_certificate
+
+PROPERTY = settings(derandomize=True, deadline=None, max_examples=60)
+
+
+@st.composite
+def graphs(draw, max_n: int) -> Graph:
+    n = draw(st.integers(0, max_n))
+    pairs = [(u, v) for v in range(n) for u in range(v)]
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return Graph.from_edges(n, [e for e, k in zip(pairs, keep) if k])
+
+
+@PROPERTY
+@given(st.data())
+def test_certificate_invariant_under_relabeling(data):
+    g = data.draw(graphs(9))
+    perm = data.draw(st.permutations(range(g.n)))
+    assert canonical_certificate(g.relabel(perm)) == canonical_certificate(g)
+
+
+@PROPERTY
+@given(st.data())
+def test_certificates_equal_exactly_when_brute_force_tables_equal(data):
+    # h is a relabelled copy of g with a few vertex pairs toggled, so the
+    # draws hold both isomorphic and non-isomorphic pairs of equal order
+    g = data.draw(graphs(6))
+    perm = data.draw(st.permutations(range(g.n)))
+    edges = {frozenset(e) for e in g.relabel(perm).edges()}
+    if g.n >= 2:
+        pairs = [frozenset((u, v)) for v in range(g.n) for u in range(v)]
+        edges ^= set(data.draw(st.lists(st.sampled_from(pairs), max_size=2)))
+    h = Graph.from_edges(g.n, [tuple(e) for e in edges])
+    same = canonical_certificate(g) == canonical_certificate(h)
+    assert same == (brute_certificate(g) == brute_certificate(h))
