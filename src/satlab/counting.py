@@ -6,18 +6,26 @@ an r-subset of vertices inducing a complete graph (clique), or an
 l-subset with no internal edge (independent set) — each counted once as a
 subset, never per labeling.
 
-The matching counter scans vertices in degree-ascending order and, at
-each step, either leaves the current vertex unmatched or pairs it with a
-remaining neighbor.  Subproblems are keyed by the bitmask of remaining
-vertices and memoized; on graphs whose low-degree vertices have small
-joint neighborhoods (stars, split graphs, sparse saturated graphs) the
-state space collapses and counts that would be astronomically expensive
-to enumerate copy-by-copy come out in milliseconds.
+Matchings with k = 2 or 3 edges and independent sets with l = 2 or 3
+vertices take closed forms in the edge count m, the degrees d_v and the
+triangle count t: one pass over the degrees and one bitset AND per edge.
+Other sizes take the general paths below, which the tests also use as
+references for the closed forms.
+
+The general matching counter scans vertices in degree-ascending order
+and, at each step, either leaves the current vertex unmatched or pairs it
+with a remaining neighbor.  Subproblems are keyed by the bitmask of
+remaining vertices and memoized; on graphs whose low-degree vertices have
+small joint neighborhoods (stars, split graphs, sparse saturated graphs)
+the state space collapses and counts that would be astronomically
+expensive to enumerate copy-by-copy come out in milliseconds.  The general
+independent-set counter recurses over non-neighborhoods.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import comb
 
 import networkx as nx
 
@@ -58,9 +66,18 @@ def count_matchings(g: Graph, k: int) -> int:
         raise ParameterError("matching size must be nonnegative")
     if k == 0:
         return 1
-    n = g.n
-    if n < 2 * k:
+    if g.n < 2 * k:
         return 0
+    if k == 2:
+        return count_m2_via_degrees(g)
+    if k == 3:
+        return _count_m3(g)
+    return _count_matchings_dp(g, k)
+
+
+def _count_matchings_dp(g: Graph, k: int) -> int:
+    """k-matchings by the memoized degree-ordered vertex scan, any k >= 0."""
+    n = g.n
     # relabel by ascending degree so the scan pivot is always the lowest bit
     order = sorted(range(n), key=lambda v: (g.rows[v].bit_count(), v))
     perm = [0] * n
@@ -101,12 +118,56 @@ def count_matchings(g: Graph, k: int) -> int:
 
 
 def count_m2_via_degrees(g: Graph) -> int:
-    """Two-edge matchings via the degree identity (m^2 + m - sum d(v)^2) / 2."""
+    """Two-edge matchings via the degree identity (m^2 + m - sum d(v)^2) / 2.
+
+    Of the C(m,2) edge pairs, sum C(d_v,2) meet at a vertex (two distinct
+    edges share at most one), and C(m,2) - sum C(d_v,2) rearranges to this.
+    """
     m = g.edge_count
     dsq = sum(r.bit_count() ** 2 for r in g.rows)
     value = m * m + m - dsq
     assert value % 2 == 0 and value >= 0
     return value // 2
+
+
+def _count_m3(g: Graph) -> int:
+    """Three-edge matchings, C(m,3) - (m-2) sum C(d_v,2)
+    + sum_{uv in E} (d_u-1)(d_v-1) + 2 sum C(d_v,3) - t.
+
+    If j of an edge triple's three pairs meet, inclusion-exclusion gives
+    C(m,3) - sum j + sum C(j,2) - sum C(j,3) over all triples: sum j =
+    (m-2) sum C(d_v,2); sum C(j,2) counts a middle edge with two edges
+    meeting it, sum_{uv in E} C(d_u+d_v-2, 2) = sum_{uv in E}
+    (d_u-1)(d_v-1) + 3 sum C(d_v,3); sum C(j,3) counts the triples whose
+    pairs all meet, the triangles and 3-stars, t + sum C(d_v,3).
+    """
+    rows = g.rows
+    deg = [r.bit_count() for r in rows]
+    m = sum(deg) // 2
+    edge_term = 0
+    for v, row in enumerate(rows):
+        r = row >> (v + 1) << (v + 1)
+        while r:
+            low = r & -r
+            r ^= low
+            edge_term += (deg[v] - 1) * (deg[low.bit_length() - 1] - 1)
+    paths = sum(comb(d, 2) for d in deg)
+    stars = sum(comb(d, 3) for d in deg)
+    value = comb(m, 3) - (m - 2) * paths + edge_term + 2 * stars - _count_triangles(rows)
+    assert value >= 0
+    return value
+
+
+def _count_triangles(rows: tuple[int, ...]) -> int:
+    """t = sum_{uv in E} |N(u) & N(v)| / 3: each triangle is seen from its three edges."""
+    common = 0
+    for v, row in enumerate(rows):
+        r = row >> (v + 1) << (v + 1)
+        while r:
+            low = r & -r
+            r ^= low
+            common += (row & rows[low.bit_length() - 1]).bit_count()
+    return common // 3
 
 
 def count_cliques(g: Graph, r: int) -> int:
@@ -131,14 +192,35 @@ def count_cliques(g: Graph, r: int) -> int:
 
 
 def count_indep_sets(g: Graph, l: int) -> int:
-    """Number of l-vertex subsets with no internal edge.
-
-    Counted directly over non-neighborhoods rather than through the
-    complement graph, so the complement-duality identity stays a real
-    cross-check.
-    """
+    """Number of l-vertex subsets with no internal edge."""
     if l < 1:
         raise ParameterError("independent set size must be at least 1")
+    if l == 2:
+        # every vertex pair is an edge or an independent pair
+        return comb(g.n, 2) - g.edge_count
+    if l == 3:
+        return _count_i3(g)
+    return _count_indep_sets_rec(g, l)
+
+
+def _count_i3(g: Graph) -> int:
+    """Independent triples (Goodman 1959): C(n,3) - sum d_v(n-1-d_v)/2 - t.
+
+    A vertex triple spanning one or two edges has exactly two vertices
+    with one neighbor and one non-neighbor in it, so sum d_v(n-1-d_v)
+    counts those triples twice and no others; of the rest, t are triangles.
+    """
+    n = g.n
+    mixed = sum(d * (n - 1 - d) for d in (r.bit_count() for r in g.rows))
+    return comb(n, 3) - mixed // 2 - _count_triangles(g.rows)
+
+
+def _count_indep_sets_rec(g: Graph, l: int) -> int:
+    """Independent l-sets, any l >= 0, by recursion over non-neighborhoods.
+
+    Counted directly rather than through the complement graph, so the
+    complement-duality identity stays a real cross-check.
+    """
     rows = g.rows
 
     def rec(cand: int, need: int) -> int:

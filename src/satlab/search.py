@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
 from .canonical import CanonicalCertificate, nonisomorphic_graphs
-from .counting import MotifSpec, count_matchings, count_motif
+from .counting import MotifSpec, _count_matchings_dp, count_matchings, count_motif
 from .errors import BudgetError, ParameterError
 from .graphs import Graph, make_split, to_graph6
 from .saturation import _has_clique, check_saturation
@@ -161,11 +161,11 @@ def probe_conjecture(
 ) -> list[ProbeRow]:
     """Sampled minima of the k-matching count over saturated graphs, per n.
 
-    The split-graph column is computed with the generic matching counter,
-    not the closed form, so the table doubles as a cross-check.  The
-    sampled minimum is only an upper-bound estimate of the true minimum;
-    whether it still reaches the split value is recorded, not asserted,
-    since the equality is an asymptotic statement.
+    The split-graph column is computed with the generic matching DP, not
+    the closed form or the k <= 3 identities, so the table doubles as a
+    cross-check.  The sampled minimum is only an upper-bound estimate of
+    the true minimum; whether it still reaches the split value is
+    recorded, not asserted, since the equality is an asymptotic statement.
     """
     if k < 2:
         raise ParameterError("matching size must be at least 2")
@@ -183,7 +183,7 @@ def probe_conjecture(
             counts.append(count_matchings(g, k))
         sampled_min = min(counts)
         assert sampled_min >= 0
-        split_count = count_matchings(make_split(n, s - 2), k)
+        split_count = _count_matchings_dp(make_split(n, s - 2), k)
         out.append(
             ProbeRow(
                 n=n,

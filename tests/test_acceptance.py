@@ -39,6 +39,7 @@ from satlab import (
     to_graph6,
 )
 from satlab.cli import main as cli_main
+from satlab.counting import _count_matchings_dp
 from oracles import (
     all_labeled_graphs,
     naive_count_matchings,
@@ -129,12 +130,12 @@ def test_a05_matching_counter_agrees_with_subset_enumeration():
 
 
 def test_a06_degree_identity_matches_counter():
-    """count_m2_via_degrees == count_matchings(., 2) on 1000 random graphs."""
+    """count_m2_via_degrees == the matching DP at k=2 on 1000 random graphs."""
     t0 = time.time()
     for i in range(1000):
         n = 2 + i % 49
         g = random_graph(n, seed=50_000 + i, p=0.05 + 0.09 * (i % 11))
-        assert count_m2_via_degrees(g) == count_matchings(g, 2), to_graph6(g)
+        assert count_m2_via_degrees(g) == _count_matchings_dp(g, 2), to_graph6(g)
     report("A6", t0, "1000 random graphs up to n=50")
 
 

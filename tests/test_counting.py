@@ -13,8 +13,10 @@ from satlab import (
     count_motif,
     make_split,
     matching_number,
+    random_saturated,
     sat_cliques_formula,
 )
+from satlab.counting import _count_indep_sets_rec, _count_matchings_dp
 from oracles import (
     all_labeled_graphs,
     edge_recursion_count_matchings,
@@ -89,7 +91,76 @@ class TestDegreeIdentity:
     @pytest.mark.parametrize("seed", range(30))
     def test_matches_counter_random(self, seed):
         g = random_graph(6 + seed % 30, seed, p=0.1 + 0.028 * (seed % 30))
-        assert count_m2_via_degrees(g) == count_matchings(g, 2)
+        assert count_m2_via_degrees(g) == _count_matchings_dp(g, 2)
+
+
+class TestClosedForms:
+    """The k, l <= 3 closed forms against the general DP and recursion."""
+
+    @pytest.mark.parametrize("s", [3, 4, 5])
+    @pytest.mark.parametrize("n", [32, 48, 64])
+    def test_match_general_paths_on_saturated_samples(self, n, s):
+        g = random_saturated(n, s, 7 * n + s)
+        for k in (2, 3):
+            assert count_matchings(g, k) == _count_matchings_dp(g, k)
+        for l in (2, 3):
+            assert count_indep_sets(g, l) == _count_indep_sets_rec(g, l)
+
+    @pytest.mark.parametrize("p", [0.05, 0.2, 0.35, 0.5, 0.65, 0.8, 0.95])
+    def test_match_general_paths_across_densities(self, p):
+        for i, n in enumerate((2, 7, 12, 25, 38, 50)):
+            g = random_graph(n, 600 + i, p=p)
+            for k in (2, 3):
+                assert count_matchings(g, k) == _count_matchings_dp(g, k), (n, k)
+            for l in (2, 3):
+                assert count_indep_sets(g, l) == _count_indep_sets_rec(g, l), (n, l)
+
+    def test_too_few_vertices(self):
+        # on n vertices K_n has the most matchings and the empty graph the most independent sets
+        for k in (1, 2, 3):
+            for n in range(2 * k):
+                assert count_matchings(Graph.complete(n), k) == 0
+        for n in range(3):
+            assert count_indep_sets(Graph.empty(n), 3) == 0
+        assert count_indep_sets(Graph.empty(1), 2) == 0
+
+    def test_empty_graph(self):
+        for n in range(12):
+            g = Graph.empty(n)
+            for k in (1, 2, 3):
+                assert count_matchings(g, k) == 0
+            for l in (1, 2, 3):
+                assert count_indep_sets(g, l) == math.comb(n, l)
+
+    def test_complete_graph(self):
+        for n in range(12):
+            g = Graph.complete(n)
+            for k in (1, 2, 3):
+                # ordered pairings of 2k of the n vertices, up to edge order and orientation
+                expected = math.perm(n, 2 * k) // (2**k * math.factorial(k)) if n >= 2 * k else 0
+                assert count_matchings(g, k) == expected
+            assert count_indep_sets(g, 1) == n
+            assert count_indep_sets(g, 2) == count_indep_sets(g, 3) == 0
+
+    def test_stars(self):
+        for n in range(2, 30):
+            g = make_split(n, 1)
+            assert count_matchings(g, 1) == n - 1
+            assert count_matchings(g, 2) == count_matchings(g, 3) == 0
+            assert count_indep_sets(g, 2) == math.comb(n - 1, 2)
+            assert count_indep_sets(g, 3) == math.comb(n - 1, 3)
+
+    def test_split_graphs(self):
+        # an edge has an end in the q-clique, so k > q disjoint edges need k clique vertices
+        for q in range(4):
+            for n in range(q, 30, 3):
+                g = make_split(n, q)
+                for k in (1, 2, 3):
+                    if k > q:
+                        assert count_matchings(g, k) == 0
+                    assert count_matchings(g, k) == _count_matchings_dp(g, k)
+                for l in (2, 3):
+                    assert count_indep_sets(g, l) == math.comb(n - q, l)
 
 
 class TestCountCliques:
@@ -145,7 +216,7 @@ class TestCountIndepSets:
         for seed in range(10):
             g = random_graph(9, 200 + seed)
             for l in range(1, 5):
-                assert count_indep_sets(g, l) == count_cliques(g.complement(), l)
+                assert _count_indep_sets_rec(g, l) == count_cliques(g.complement(), l)
 
     def test_matches_naive(self):
         for seed in range(8):

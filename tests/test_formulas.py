@@ -19,6 +19,7 @@ from satlab import (
     sat_cliques_formula,
     sat_edges_formula,
 )
+from satlab.counting import _count_matchings_dp
 from satlab.formulas import degree_profile_solution
 
 
@@ -163,7 +164,7 @@ class TestM2Profile:
         for s in range(4, 9):
             for n in range(max(s, 2 * s - 4), 30, 3):
                 m = sat_edges_formula(n, s)
-                expected = count_matchings(make_split(n, s - 2), 2)
+                expected = _count_matchings_dp(make_split(n, s - 2), 2)
                 assert m2_profile_formula(n, s, m) == expected
 
     def test_frozen_example(self):
@@ -198,7 +199,7 @@ class TestM2Profile:
 
     def test_accepts_complete_graph_profile(self):
         # m = C(10,2) solves to a=0, b=10: all vertices of degree n-1 (K_10)
-        assert m2_profile_formula(10, 4, 45) == count_matchings(make_split(10, 10), 2)
+        assert m2_profile_formula(10, 4, 45) == _count_matchings_dp(make_split(10, 10), 2)
 
     def test_rejects_negative_profile(self):
         # m = 3 solves to b = -2 degree-(n-1) vertices: unrealizable
