@@ -25,8 +25,12 @@ None of this changes which leaf is best, only how many are visited, and
 the automorphisms found generate the whole group, one per jump: n - 1 of
 them for the empty and complete graphs.
 
-Certificates are the graph6 bytes of the canonical form, so they decode
-back to a concrete representative and sort in a stable, platform-free way.
+The prefix prune reads the best key's leading bits: when a node's first t
+cells are singletons, every leaf below starts with those t labels, whose
+key is the first C(t,2) bits of the column-major leaf key.  A certificate
+is the best key packed as graph6 bytes, the graph6 of the canonical form
+made without relabeling, so it decodes back to a concrete representative
+and sorts in a stable, platform-free way.
 """
 
 from __future__ import annotations
@@ -36,7 +40,7 @@ from functools import lru_cache
 from math import prod
 
 from .errors import ParameterError
-from .graphs import Graph, from_graph6, to_graph6
+from .graphs import Graph, _pack_graph6, _triangle_key, from_graph6
 
 
 @dataclass(frozen=True, order=True)
@@ -85,20 +89,6 @@ def _refine(rows: tuple[int, ...], cells: list[list[int]]) -> list[list[int]]:
         cells = new_cells
 
 
-def _triangle_key(rows: tuple[int, ...], lab: list[int]) -> int:
-    """Upper-triangle bits of the relabeled graph packed into one int.
-
-    Column-major order, matching the graph6 payload, so smaller key means
-    lexicographically smaller encoding.
-    """
-    key = 0
-    for j in range(1, len(lab)):
-        col = rows[lab[j]]
-        for i in range(j):
-            key = (key << 1) | ((col >> lab[i]) & 1)
-    return key
-
-
 def _find(parent: list[int], x: int) -> int:
     while parent[x] != x:
         parent[x] = parent[parent[x]]
@@ -127,26 +117,15 @@ class _CanonicalSearch:
         self.best_key: int | None = None
         self.best_lab: list[int] | None = None
         self.best_path: list[int] | None = None
-        self.best_prefix: dict[int, int] = {}
         self.generators: list[tuple[int, ...]] = []
         # orbits[d]: union-find over the generators fixing the first d
         # vertices of the current path, built when that node tries its
         # second child (None before)
         self.orbits: list[list[int] | None] = []
 
-    def run(self) -> tuple[list[int], list[tuple[int, ...]]]:
-        if self.n == 0:
-            return [], []
-        self._descend([list(range(self.n))], [])
-        assert self.best_lab is not None
-        return self.best_lab, self.generators
-
-    def _prefix_key(self, t: int) -> int:
-        key = self.best_prefix.get(t)
-        if key is None:
-            key = _triangle_key(self.rows, self.best_lab[:t])
-            self.best_prefix[t] = key
-        return key
+    def run(self) -> "_CanonicalSearch":
+        self._descend([list(range(self.n))] if self.n else [], [])
+        return self
 
     def _descend(self, cells: list[list[int]], fixed: list[int]) -> int | None:
         """Search below the node that individualized fixed.
@@ -163,10 +142,12 @@ class _CanonicalSearch:
         if branch_at is None:
             return self._leaf([cell[0] for cell in cells], fixed)
         if self.best_key is not None:
-            # all leaves below share the labels of the leading singletons
+            # all leaves below share the labels of the leading singletons, so
+            # their keys start with partial; the best's starts with its top
+            # C(t,2) bits
             t = branch_at
             partial = _triangle_key(self.rows, [cells[i][0] for i in range(t)])
-            if partial > self._prefix_key(t):
+            if partial > self.best_key >> (self.n * (self.n - 1) - t * (t - 1)) // 2:
                 return None
         depth = len(fixed)
         self.orbits.append(None)
@@ -214,7 +195,6 @@ class _CanonicalSearch:
         else:
             if key < self.best_key:
                 self.best_key, self.best_lab, self.best_path = key, lab, fixed
-                self.best_prefix = {}
             return None
         perm = [0] * self.n
         for u, w in zip(match_lab, lab):
@@ -234,22 +214,17 @@ class _CanonicalSearch:
 
 def canonical_labeling(g: Graph) -> tuple[int, ...]:
     """Canonical labeling as a tuple lab[position] = original vertex."""
-    lab, _ = _CanonicalSearch(g.rows, g.n).run()
-    return tuple(lab)
+    return tuple(_CanonicalSearch(g.rows, g.n).run().best_lab)
 
 
 def canonical_form(g: Graph) -> Graph:
     """The canonically relabeled copy of g (identical for isomorphic inputs)."""
-    lab = canonical_labeling(g)
-    perm = [0] * g.n
-    for pos, v in enumerate(lab):
-        perm[v] = pos
-    return g.relabel(perm)
+    return certificate_graph(canonical_certificate(g))
 
 
 def canonical_certificate(g: Graph) -> CanonicalCertificate:
     """Permutation-invariant certificate; equal certificates mean isomorphic."""
-    return CanonicalCertificate(to_graph6(canonical_form(g)))
+    return CanonicalCertificate(_pack_graph6(g.n, _CanonicalSearch(g.rows, g.n).run().best_key))
 
 
 def certificate_graph(cert: CanonicalCertificate) -> Graph:
@@ -274,8 +249,7 @@ def automorphism_generators(g: Graph) -> list[tuple[int, ...]]:
     every leaf is an automorphic image of the first).  Together they
     generate the whole group.
     """
-    _, gens = _CanonicalSearch(g.rows, g.n).run()
-    return gens
+    return _CanonicalSearch(g.rows, g.n).run().generators
 
 
 def automorphism_group_order(g: Graph) -> int:
@@ -373,7 +347,8 @@ def nonisomorphic_graphs(n: int) -> tuple[Graph, ...]:
 
     Built by extending each (n-1)-vertex class with a new vertex attached to
     one representative neighborhood per automorphism orbit, then
-    deduplicating by certificate.  Every returned graph is in canonical form.
+    deduplicating by certificate.  Each class is decoded from its
+    certificate, so every returned graph is in canonical form.
     Feasible up to n = 10 or so; the counts 1, 1, 2, 4, 11, 34, 156, 1044,
     12346 for n = 0..8 make a handy self-check.
     """
@@ -381,12 +356,11 @@ def nonisomorphic_graphs(n: int) -> tuple[Graph, ...]:
         raise ParameterError("vertex count must be nonnegative")
     if n == 0:
         return (Graph.empty(0),)
-    reps: dict[CanonicalCertificate, Graph] = {}
+    certs: set[CanonicalCertificate] = set()
     for parent in nonisomorphic_graphs(n - 1):
         gens = automorphism_generators(parent)
         for mask in _mask_orbit_reps(n - 1, gens):
             rows = [r | ((mask >> v & 1) << (n - 1)) for v, r in enumerate(parent.rows)]
             rows.append(mask)
-            child = canonical_form(Graph(n, tuple(rows)))
-            reps.setdefault(CanonicalCertificate(to_graph6(child)), child)
-    return tuple(reps[c] for c in sorted(reps))
+            certs.add(canonical_certificate(Graph(n, tuple(rows))))
+    return tuple(certificate_graph(c) for c in sorted(certs))

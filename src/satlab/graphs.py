@@ -13,6 +13,7 @@ each group offset by 63 into printable ASCII.
 
 from __future__ import annotations
 
+import binascii
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -209,23 +210,50 @@ def _decode_size(data: bytes) -> tuple[int, int]:
     return b0 - 63, 1
 
 
+def _triangle_key(rows: tuple[int, ...], lab: list[int]) -> int:
+    """The upper triangle of rows relabeled so that position i holds vertex lab[i].
+
+    Bits run in graph6 payload order, column-major with x_{0,1} most
+    significant, so a smaller key is a lexicographically smaller encoding
+    and the key of a label prefix lab[:t] is the leading C(t,2) bits of the
+    key.  Built a column at a time, so the big int is shifted once per
+    column, not once per bit.
+    """
+    key = 0
+    for j in range(1, len(lab)):
+        col = rows[lab[j]]
+        bits = 0
+        for v in lab[:j]:
+            bits = (bits << 1) | ((col >> v) & 1)
+        key = (key << j) | bits
+    return key
+
+
+# base64 cuts bytes into 6-bit groups most significant first, as graph6 does,
+# but maps them through its alphabet where graph6 adds 63
+_BASE64_TO_GRAPH6 = bytes.maketrans(
+    b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/",
+    bytes(range(63, 127)),
+)
+
+
+def _pack_graph6(n: int, key: int) -> bytes:
+    """graph6 bytes of the n-vertex graph whose triangle key is key."""
+    nbits = n * (n - 1) // 2
+    groups = (nbits + 5) // 6
+    blocks = (groups + 3) // 4
+    # left-align the bits in whole 24-bit blocks (4 groups each); groups past
+    # the last one that holds payload bits are cut off
+    body = (key << (24 * blocks - nbits)).to_bytes(3 * blocks, "big")
+    payload = binascii.b2a_base64(body, newline=False)[:groups]
+    return _encode_size(n) + payload.translate(_BASE64_TO_GRAPH6)
+
+
 def to_graph6(g: Graph) -> bytes:
     """Encode to graph6 bytes (no trailing newline, no '>>graph6<<' header)."""
-    out = bytearray(_encode_size(g.n))
-    group = 0
-    nbits = 0
-    for v in range(1, g.n):
-        col = g.rows[v]
-        for u in range(v):
-            group = (group << 1) | ((col >> u) & 1)
-            nbits += 1
-            if nbits == 6:
-                out.append(group + 63)
-                group = 0
-                nbits = 0
-    if nbits:
-        out.append((group << (6 - nbits)) + 63)
-    return bytes(out)
+    # column v, x_{0,v} first, is the low v bits of rows[v] in reverse
+    bits = "".join([format(g.rows[v] & ((1 << v) - 1), f"0{v}b")[::-1] for v in range(1, g.n)])
+    return _pack_graph6(g.n, int(bits or "0", 2))
 
 
 def from_graph6(data: bytes | str) -> Graph:

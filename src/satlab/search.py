@@ -28,18 +28,15 @@ EXHAUSTIVE_CAP = 8
 
 @dataclass(frozen=True)
 class SearchBudget:
-    """Limits for exhaustive search: size cap and optional seconds.
+    """Optional seconds limit for exhaustive search.
 
     The ``time_limit`` clock starts before enumeration but is read only
     between saturated classes, so enumeration itself is not interrupted.
     """
 
-    max_n: int = EXHAUSTIVE_CAP
     time_limit: float | None = None
 
     def __post_init__(self):
-        if not 1 <= self.max_n <= EXHAUSTIVE_CAP:
-            raise ParameterError(f"exhaustive cap must be in 1..{EXHAUSTIVE_CAP}")
         if self.time_limit is not None and not 0 < self.time_limit < math.inf:
             raise ParameterError(f"time limit must be finite and positive, got {self.time_limit}")
 
@@ -72,15 +69,14 @@ class ExtremalResult:
         }
 
 
-def enumerate_saturated(n: int, s: int, budget: SearchBudget | None = None) -> Iterator[Graph]:
+def enumerate_saturated(n: int, s: int) -> Iterator[Graph]:
     """One canonical representative per K_s-saturated class, certificate-sorted."""
-    budget = budget or SearchBudget()
     if s < 3:
         raise ParameterError("clique order must be at least 3 for exhaustive search")
     if n < 1:
         raise ParameterError("vertex count must be positive")
-    if n > budget.max_n:
-        raise BudgetError(f"n={n} exceeds the exhaustive cap {budget.max_n}")
+    if n > EXHAUSTIVE_CAP:
+        raise BudgetError(f"n={n} exceeds the exhaustive cap {EXHAUSTIVE_CAP}")
     for g in nonisomorphic_graphs(n):
         if check_saturation(g, s).is_saturated:
             yield g
@@ -99,7 +95,7 @@ def extremal_count(
     budget = budget or SearchBudget()
     deadline = None if budget.time_limit is None else time.monotonic() + budget.time_limit
     scored: list[tuple[int, CanonicalCertificate]] = []
-    for g in enumerate_saturated(n, s, budget):
+    for g in enumerate_saturated(n, s):
         if deadline is not None and time.monotonic() > deadline:
             raise BudgetError(f"time limit of {budget.time_limit}s exceeded")
         # representatives come out of enumerate_saturated already canonical

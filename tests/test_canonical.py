@@ -1,6 +1,8 @@
+import hashlib
 from itertools import permutations
 from math import factorial
 
+import networkx as nx
 import pytest
 
 from satlab import (
@@ -16,6 +18,7 @@ from satlab import (
     nonisomorphic_graphs,
     to_graph6,
 )
+from satlab.canonical import canonical_labeling
 from oracles import (
     all_labeled_graphs,
     brute_automorphism_count,
@@ -190,3 +193,36 @@ def test_certificate_roundtrips_via_graph6():
             cert = canonical_certificate(g)
             assert to_graph6(certificate_graph(cert)) == cert.data
             assert from_graph6(cert.data).n == n
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 5, 11, 62, 63, 100, 512])
+def test_certificate_is_networkx_graph6_of_canonical_relabeling(n):
+    # networkx encodes the canonically relabeled graph independently of the
+    # packed search key the certificate is made from
+    g = random_graph(n, 5200 + n, p=0.3)
+    pos = {v: i for i, v in enumerate(canonical_labeling(g))}
+    nxg = nx.empty_graph(n)
+    nxg.add_edges_from((pos[u], pos[v]) for u, v in g.edges())
+    assert canonical_certificate(g).data == nx.to_graph6_bytes(nxg, header=False).strip()
+
+
+def _sha256(lines) -> str:
+    return hashlib.sha256(b"\n".join(lines)).hexdigest()
+
+
+def test_class_list_bytes_pinned():
+    # graph6 of every class on 7 vertices, as the certificates were before
+    # they were packed straight from the search key
+    assert _sha256(to_graph6(g) for g in nonisomorphic_graphs(7)) == (
+        "d16cb100e88e2559837f2637813bf19f1e58dce202c8f4b5ae408eef2eb79f9b"
+    )
+
+
+def test_certificate_bytes_pinned():
+    # header switch at 63, padding residues, and symmetric graphs whose
+    # searches jump back on automorphisms
+    graphs = [random_graph(n, 9100 + n) for n in (0, 1, 2, 5, 31, 62, 63, 64, 100, 128)]
+    graphs += [Graph.empty(63), Graph.complete(40), make_split(70, 3)]
+    assert _sha256(canonical_certificate(g).data for g in graphs) == (
+        "e1b60f53899b6ac4f269fce356915a39f114c3d9fdae00d979c5e9250b14d34e"
+    )

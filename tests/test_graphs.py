@@ -142,16 +142,18 @@ class TestGraph6:
             g = make_split(n, q)
             assert from_graph6(to_graph6(g)) == g
 
-    @pytest.mark.parametrize("seed", range(8))
-    def test_encode_cross_checked_against_networkx(self, seed):
-        g = random_graph(11, seed)
-        nxg = nx.empty_graph(11)
+    # every padding residue (C(n,2) mod 6 is 0, 1, 3 or 4) and both sides of
+    # the header switch at n = 63
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 5, 6, 7, 11, 62, 63, 100, 512])
+    def test_encode_cross_checked_against_networkx(self, n):
+        g = random_graph(n, n)
+        nxg = nx.empty_graph(n)
         nxg.add_edges_from(g.edges())
         ours = to_graph6(g)
         assert ours == nx.to_graph6_bytes(nxg, header=False).strip()
         h = nx.from_graph6_bytes(ours)
         assert set(h.edges()) == set(g.edges())
-        assert set(h.nodes()) == set(range(11))
+        assert set(h.nodes()) == set(range(n))
 
     @pytest.mark.parametrize("seed", range(8))
     def test_decode_cross_checked_against_networkx(self, seed):

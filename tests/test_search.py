@@ -105,14 +105,10 @@ class TestEnumerateSaturated:
     def test_budget_errors(self):
         with pytest.raises(BudgetError):
             list(enumerate_saturated(9, 3))
-        with pytest.raises(BudgetError):
-            list(enumerate_saturated(7, 3, SearchBudget(max_n=6)))
         with pytest.raises(ParameterError):
             list(enumerate_saturated(0, 3))
         with pytest.raises(ParameterError):
             list(enumerate_saturated(4, 2))
-        with pytest.raises(ParameterError):
-            SearchBudget(max_n=9)
 
 
 class TestExtremalCount:
