@@ -362,5 +362,5 @@ def nonisomorphic_graphs(n: int) -> tuple[Graph, ...]:
         for mask in _mask_orbit_reps(n - 1, gens):
             rows = [r | ((mask >> v & 1) << (n - 1)) for v, r in enumerate(parent.rows)]
             rows.append(mask)
-            certs.add(canonical_certificate(Graph(n, tuple(rows))))
+            certs.add(canonical_certificate(Graph._unchecked(n, rows)))
     return tuple(certificate_graph(c) for c in sorted(certs))

@@ -8,7 +8,19 @@ instances are safe to share across threads.
 The graph6 codec is bit-exact per the published format: an N(n) size
 header followed by the upper-triangle bits in column-major order
 (x_{0,1}, x_{0,2}, x_{1,2}, x_{0,3}, ...), zero-padded to 6-bit groups,
-each group offset by 63 into printable ASCII.
+each group offset by 63 into printable ASCII.  Both directions go through
+``binascii``'s base64 codec, which cuts bytes into 6-bit groups in the same
+order: ``_pack_graph6`` packs a triangle key, and ``from_graph6`` is its
+exact inverse.
+
+``Graph(n, rows)`` validates every row: no bits outside 0..n-1, no loops,
+symmetric adjacency.  ``Graph._unchecked(n, rows)`` checks only n against
+``MAX_VERTICES`` and the number of rows.  It is private to satlab and is
+called only where the rows are valid by construction: the graph6 decoder,
+``with_edge`` (after its range check), ``complement``, ``relabel``,
+``make_split``, ``join``, ``search.random_saturated`` and the augmented
+children in ``canonical.nonisomorphic_graphs``.  Rows from anywhere else go
+through ``Graph``.
 """
 
 from __future__ import annotations
@@ -22,6 +34,13 @@ from .errors import Graph6Error, ParameterError
 MAX_VERTICES = 512
 
 
+def _check_shape(n: int, rows: tuple[int, ...]) -> None:
+    if not 0 <= n <= MAX_VERTICES:
+        raise ParameterError(f"vertex count {n} outside 0..{MAX_VERTICES}")
+    if len(rows) != n:
+        raise ParameterError(f"expected {n} adjacency rows, got {len(rows)}")
+
+
 @dataclass(frozen=True)
 class Graph:
     """An undirected simple graph on vertices 0..n-1."""
@@ -31,10 +50,7 @@ class Graph:
 
     def __post_init__(self):
         object.__setattr__(self, "rows", tuple(self.rows))
-        if not 0 <= self.n <= MAX_VERTICES:
-            raise ParameterError(f"vertex count {self.n} outside 0..{MAX_VERTICES}")
-        if len(self.rows) != self.n:
-            raise ParameterError(f"expected {self.n} adjacency rows, got {len(self.rows)}")
+        _check_shape(self.n, self.rows)
         full = (1 << self.n) - 1
         for v, row in enumerate(self.rows):
             if row & ~full:
@@ -49,6 +65,21 @@ class Graph:
                 r ^= low
                 if not (self.rows[u] >> v) & 1:
                     raise ParameterError(f"asymmetric adjacency between {u} and {v}")
+
+    @classmethod
+    def _unchecked(cls, n: int, rows: Iterable[int]) -> "Graph":
+        """A graph from rows that are valid by construction.
+
+        Checks n and the row count like the public constructor, but not the
+        rows themselves (stray bits, loops, symmetry); see the module
+        docstring for who may call it.
+        """
+        rows = tuple(rows)
+        _check_shape(n, rows)
+        g = object.__new__(cls)
+        object.__setattr__(g, "n", n)
+        object.__setattr__(g, "rows", rows)
+        return g
 
     # -- construction -----------------------------------------------------
 
@@ -115,16 +146,18 @@ class Graph:
     # -- derived graphs ---------------------------------------------------
 
     def with_edge(self, u: int, v: int) -> "Graph":
+        if not (0 <= u < self.n and 0 <= v < self.n):
+            raise ParameterError(f"edge ({u},{v}) outside vertex range 0..{self.n - 1}")
         if u == v:
             raise ParameterError("cannot add a loop")
         rows = list(self.rows)
         rows[u] |= 1 << v
         rows[v] |= 1 << u
-        return Graph(self.n, tuple(rows))
+        return Graph._unchecked(self.n, rows)
 
     def complement(self) -> "Graph":
         full = (1 << self.n) - 1
-        return Graph(self.n, tuple((full ^ r) & ~(1 << v) & full for v, r in enumerate(self.rows)))
+        return Graph._unchecked(self.n, (full ^ r ^ (1 << v) for v, r in enumerate(self.rows)))
 
     def relabel(self, perm: Iterable[int]) -> "Graph":
         """Relabel so that old vertex v becomes perm[v]."""
@@ -139,7 +172,7 @@ class Graph:
                 low = r & -r
                 rows[nv] |= 1 << p[low.bit_length() - 1]
                 r ^= low
-        return Graph(self.n, tuple(rows))
+        return Graph._unchecked(self.n, rows)
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.edge_count})"
@@ -163,7 +196,7 @@ def make_split(n: int, q: int) -> Graph:
         rows[v] = full ^ (1 << v)
     for v in range(q, n):
         rows[v] = clique_mask
-    return Graph(n, tuple(rows))
+    return Graph._unchecked(n, rows)
 
 
 def join(g: Graph, h: Graph) -> Graph:
@@ -175,7 +208,7 @@ def join(g: Graph, h: Graph) -> Graph:
     g_mask = (1 << g.n) - 1
     rows = [r | h_mask for r in g.rows]
     rows += [(r << g.n) | g_mask for r in h.rows]
-    return Graph(n, tuple(rows))
+    return Graph._unchecked(n, rows)
 
 
 # -- graph6 codec ----------------------------------------------------------
@@ -231,10 +264,10 @@ def _triangle_key(rows: tuple[int, ...], lab: list[int]) -> int:
 
 # base64 cuts bytes into 6-bit groups most significant first, as graph6 does,
 # but maps them through its alphabet where graph6 adds 63
-_BASE64_TO_GRAPH6 = bytes.maketrans(
-    b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/",
-    bytes(range(63, 127)),
-)
+_BASE64_ALPHABET = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/"
+_GRAPH6_ALPHABET = bytes(range(63, 127))
+_BASE64_TO_GRAPH6 = bytes.maketrans(_BASE64_ALPHABET, _GRAPH6_ALPHABET)
+_GRAPH6_TO_BASE64 = bytes.maketrans(_GRAPH6_ALPHABET, _BASE64_ALPHABET)
 
 
 def _pack_graph6(n: int, key: int) -> bytes:
@@ -273,26 +306,22 @@ def from_graph6(data: bytes | str) -> Graph:
             f"payload length {len(data) - pos} bytes, expected {nbytes} for n={n}",
             len(data),
         )
-    rows = [0] * n
-    remaining = nbits
-    u, v = 0, 1
-    for offset in range(pos, len(data)):
-        byte = data[offset]
-        if not 63 <= byte <= 126:
-            raise Graph6Error(f"payload byte {byte} outside graph6 range", offset)
-        group = byte - 63
-        for k in range(5, -1, -1):
-            bit = (group >> k) & 1
-            if remaining == 0:
-                if bit:
-                    raise Graph6Error("nonzero padding bits", offset)
-                continue
-            if bit:
-                rows[u] |= 1 << v
-                rows[v] |= 1 << u
-            remaining -= 1
-            u += 1
-            if u == v:
-                u = 0
-                v += 1
-    return Graph(n, tuple(rows))
+    payload = data[pos:]
+    if payload.translate(None, _GRAPH6_ALPHABET):
+        offset = next(i for i, byte in enumerate(payload) if not 63 <= byte <= 126)
+        raise Graph6Error(f"payload byte {payload[offset]} outside graph6 range", pos + offset)
+    # the inverse of _pack_graph6: back to base64, padded with zero groups
+    # ("A") to whole 24-bit blocks, and read as one int whose leading nbits
+    # bits are the triangle key
+    b64 = payload.translate(_GRAPH6_TO_BASE64) + b"A" * (-nbytes % 4)
+    slack = 6 * len(b64) - nbits
+    body = int.from_bytes(binascii.a2b_base64(b64), "big")
+    if body & ((1 << slack) - 1):
+        raise Graph6Error("nonzero padding bits", len(data) - 1)
+    # column j, x_{0,j} first, holds the low j bits of rows[j] in reverse;
+    # zero-filled to n and transposed, the columns give each row's upper half
+    bits = format(body >> slack, f"0{nbits}b")
+    cols = [bits[j * (j - 1) // 2 : j * (j + 1) // 2] for j in range(n)]
+    uppers = zip(*[col.ljust(n, "0") for col in cols])
+    rows = [int((col + "".join(up)[v:])[::-1], 2) for v, (col, up) in enumerate(zip(cols, uppers))]
+    return Graph._unchecked(n, rows)

@@ -136,7 +136,7 @@ def random_saturated(n: int, s: int, seed: int) -> Graph:
         if not _has_clique(rows, rows[u] & rows[v], s - 2):
             rows[u] |= 1 << v
             rows[v] |= 1 << u
-    return Graph(n, tuple(rows))
+    return Graph._unchecked(n, rows)
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,6 @@
+import hashlib
 import math
+import random
 
 import networkx as nx
 import pytest
@@ -11,6 +13,8 @@ from satlab import (
     from_graph6,
     join,
     make_split,
+    nonisomorphic_graphs,
+    random_saturated,
     to_graph6,
 )
 from oracles import all_labeled_graphs, random_graph
@@ -56,6 +60,11 @@ class TestGraphType:
         assert g.relabel(perm).relabel(inv) == g
         with pytest.raises(ParameterError):
             g.relabel([0] * 8)
+
+    @pytest.mark.parametrize("u, v", [(0, 3), (0, -1), (-1, 0)])
+    def test_with_edge_rejects_out_of_range_vertices(self, u, v):
+        with pytest.raises(ParameterError, match="outside vertex range"):
+            Graph.empty(3).with_edge(u, v)
 
 
 class TestMakeSplit:
@@ -155,13 +164,14 @@ class TestGraph6:
         assert set(h.edges()) == set(g.edges())
         assert set(h.nodes()) == set(range(n))
 
-    @pytest.mark.parametrize("seed", range(8))
-    def test_decode_cross_checked_against_networkx(self, seed):
-        g = random_graph(9, seed + 100)
-        nxg = nx.empty_graph(9)
-        nxg.add_edges_from(g.edges())
-        data = nx.to_graph6_bytes(nxg, header=False).strip()
-        assert from_graph6(data) == g
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 5, 6, 7, 11, 62, 63, 100, 512])
+    def test_decode_cross_checked_against_networkx(self, n):
+        for seed in range(3):
+            g = random_graph(n, seed + 100 * n, p=(seed + 1) / 4)
+            nxg = nx.empty_graph(n)
+            nxg.add_edges_from(g.edges())
+            data = nx.to_graph6_bytes(nxg, header=False).strip()
+            assert from_graph6(data) == g
 
     def test_decode_errors_carry_offsets(self):
         with pytest.raises(Graph6Error):
@@ -190,3 +200,116 @@ class TestGraph6:
         # long-form header declaring n=4032, above the 512-vertex cap
         with pytest.raises(Graph6Error):
             from_graph6(b"~?~?" + b"?" * 10)
+
+    # n = 9: 36 payload bits, 6 bytes at offsets 1..6, no padding
+    @pytest.mark.parametrize("bad", [62, 127])
+    @pytest.mark.parametrize("offset", [1, 3, 6])
+    def test_decode_payload_byte_out_of_range_offsets(self, bad, offset):
+        data = bytearray(to_graph6(random_graph(9, 5)))
+        data[offset] = bad
+        with pytest.raises(Graph6Error) as exc:
+            from_graph6(bytes(data))
+        assert exc.value.offset == offset
+        assert str(exc.value) == f"payload byte {bad} outside graph6 range (byte offset {offset})"
+
+    # C(n,2) mod 6 is 1 at n = 2 and 62, 3 at n = 3 and 63, 4 at n = 5 and
+    # 65: 5, 3 and 2 padding bits in the last byte, under both header forms
+    @pytest.mark.parametrize("n", [2, 3, 5, 62, 63, 65])
+    def test_decode_nonzero_padding_offset(self, n):
+        data = bytearray(to_graph6(random_graph(n, n)))
+        pad = -(n * (n - 1) // 2) % 6
+        assert pad
+        data[-1] += 1 << (pad - 1)  # the highest padding bit; the byte stays in range
+        with pytest.raises(Graph6Error) as exc:
+            from_graph6(bytes(data))
+        assert exc.value.offset == len(data) - 1
+        assert str(exc.value) == f"nonzero padding bits (byte offset {len(data) - 1})"
+
+    def test_decode_outcomes_pinned(self):
+        # rows or (message, offset) over a seeded corpus of mutated graph6
+        # strings; the digest was taken with the per-bit reference decoder
+        lines = []
+        for data in _mutated_graph6_corpus(720, seed=2024):
+            try:
+                g = from_graph6(data)
+            except Graph6Error as exc:
+                lines.append(f"{data!r} error {exc} | {exc.offset}")
+            else:
+                lines.append(f"{data!r} ok {g.n} {[hex(r) for r in g.rows]}")
+        errors = sum(" error " in line for line in lines)
+        digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+        assert (errors, digest) == (DECODE_ERRORS, DECODE_DIGEST)
+
+
+DECODE_ERRORS = 494
+DECODE_DIGEST = "e88c1485bc9fd40b2538400ecd459b5bb309f164232036ee75ff13c8f22f6339"
+
+
+def _mutated_graph6_corpus(count: int, seed: int) -> list[bytes]:
+    """Seeded graph6 strings: valid ones and single mutations of them.
+
+    Sizes cover every padding residue and both header forms; mutations
+    replace a byte (header or payload) with any value, set a payload byte
+    to 62 or 127, flip one bit of the last group, truncate or extend.
+    """
+    rng = random.Random(seed)
+    out = []
+    for i in range(count):
+        n = rng.choice([0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 11, 17, 62, 63, 64, 100])
+        data = bytearray(to_graph6(random_graph(n, rng.randrange(1 << 30), p=rng.random())))
+        kind = i % 6
+        if kind == 1:
+            data[rng.randrange(len(data))] = rng.randrange(256)
+        elif kind == 2 and len(data) > 1:
+            data[rng.randrange(1, len(data))] = rng.choice([62, 127])
+        elif kind == 3:
+            data[-1] = ((data[-1] - 63) ^ (1 << rng.randrange(6))) + 63
+        elif kind == 4:
+            del data[rng.randrange(len(data)) :]
+        elif kind == 5:
+            data += bytes(rng.randrange(63, 127) for _ in range(rng.randint(1, 3)))
+        out.append(bytes(data))
+    return out
+
+
+class TestUncheckedConstruction:
+    """Graphs built without row checks must pass them anyway."""
+
+    @staticmethod
+    def _revalidates(g):
+        assert Graph(g.n, g.rows) == g
+
+    @pytest.mark.parametrize("s", [3, 4, 5])
+    def test_random_saturated(self, s):
+        for n in range(32, 65, 8):
+            self._revalidates(random_saturated(n, s, seed=n * s))
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 5, 9, 63, 130])
+    def test_from_graph6(self, n):
+        for seed in range(3):
+            self._revalidates(from_graph6(to_graph6(random_graph(n, seed, p=(seed + 1) / 4))))
+
+    def test_derived_graphs(self):
+        g, h = random_graph(9, 1), random_graph(6, 2)
+        self._revalidates(g.relabel([4, 0, 8, 2, 6, 1, 3, 7, 5]))
+        self._revalidates(g.complement())
+        self._revalidates(g.with_edge(2, 7))
+        self._revalidates(join(g, h))
+        for n, q in [(0, 0), (1, 1), (7, 0), (7, 3), (7, 7)]:
+            self._revalidates(make_split(n, q))
+
+    def test_nonisomorphic_graphs(self):
+        classes = nonisomorphic_graphs(6)
+        assert len(classes) == 156
+        for g in classes:
+            self._revalidates(g)
+
+    def test_vertex_cap_still_checked(self):
+        with pytest.raises(ParameterError):
+            Graph.from_edges(513, [])
+        with pytest.raises(ParameterError):
+            make_split(513, 1)
+        with pytest.raises(ParameterError):
+            join(Graph.empty(256), Graph.empty(257))
+        with pytest.raises(ParameterError):
+            random_saturated(513, 3, seed=1)
