@@ -1,12 +1,16 @@
 """Canonical labelings, isomorphism testing, and isomorph-free enumeration.
 
 The canonical form is computed by iterated neighborhood refinement: start
-from the unit partition, split cells by adjacency counts into every cell
-until the partition is equitable, then backtrack over the vertices of the
-first non-singleton cell.  Among all discrete partitions reached, the one
-whose adjacency upper triangle (column-major, as in graph6) is
-lexicographically smallest defines the canonical labeling.  Pruning follows
-nauty (McKay 1981, "Practical graph isomorphism"; McKay & Piperno 2014):
+from the unit partition, split cells by adjacency counts until the
+partition is equitable, then backtrack over the vertices of the first
+non-singleton cell.  Each pass counts only into the cells the previous pass
+created (the unit cell at the root; [v] and the rest of v's cell after
+individualizing v), since every older cell already meets each cell in one
+count per vertex.  Among all discrete partitions reached, the one whose
+adjacency upper triangle (column-major, as in graph6) is lexicographically
+smallest defines the canonical labeling.  Pruning follows nauty (McKay
+1981, "Practical graph isomorphism"; McKay & Piperno 2014) and bliss
+(Junttila & Kaski 2007):
 
 * Branches whose fixed prefix already compares greater than the incumbent
   are cut.
@@ -20,10 +24,18 @@ nauty (McKay 1981, "Practical graph isomorphism"; McKay & Piperno 2014):
   its second child; each new automorphism is merged into the nodes whose
   prefix it fixes.  A branch target that is not the minimum of its orbit
   is equivalent to one already explored and is skipped.
+* A node whose partition is uniform (every cell a clique or a coclique of
+  twins, so each pair of cells is fully joined or not at all) is settled at
+  its first leaf: every permutation keeping the cells in place is an
+  automorphism, so all leaves below share one key.  Unless that leaf jumps
+  back, the adjacent transpositions inside each cell are added as
+  generators.  This settles the empty and complete graphs and the split
+  graphs S_{n,q} at the root.
 
 None of this changes which leaf is best, only how many are visited, and
-the automorphisms found generate the whole group, one per jump: n - 1 of
-them for the empty and complete graphs.
+the automorphisms found generate the whole group: one per jump, plus the
+transpositions of each uniform node, n - 1 of them for the empty and
+complete graphs.
 
 The prefix prune reads the best key's leading bits: when a node's first t
 cells are singletons, every leaf below starts with those t labels, whose
@@ -53,22 +65,31 @@ class CanonicalCertificate:
         return self.data.decode("ascii")
 
 
-def _refine(rows: tuple[int, ...], cells: list[list[int]]) -> list[list[int]]:
+def _refine(
+    rows: tuple[int, ...], cells: list[list[int]], fresh: list[list[int]]
+) -> list[list[int]]:
     """Refine to an equitable ordered partition.
 
-    Cells are repeatedly split by the vector of adjacency counts into every
-    current cell; sub-cells are ordered by their count vectors, which keeps
-    the resulting cell order invariant under relabeling.
+    Each pass splits every cell by the vector of its vertices' adjacency
+    counts into the fresh cells, and orders the pieces by that vector.  The
+    caller passes as fresh the cells whose counts may differ inside a cell:
+    the unit cell at the root, and [v] and the rest of v's cell after
+    individualizing v in an equitable partition.  Later passes count into
+    the pieces the previous pass created.  Every other cell already has one
+    count for all vertices of a cell, so the vector splits and orders cells
+    exactly as counts into every cell would, which keeps the resulting cell
+    order invariant under relabeling.  Pieces keep their cell's vertex
+    order, so cells that start ascending stay ascending.
     """
-    while True:
+    while fresh:
         masks = []
-        for cell in cells:
+        for cell in fresh:
             m = 0
             for v in cell:
                 m |= 1 << v
             masks.append(m)
         new_cells: list[list[int]] = []
-        changed = False
+        fresh = []
         for cell in cells:
             if len(cell) == 1:
                 new_cells.append(cell)
@@ -81,12 +102,31 @@ def _refine(rows: tuple[int, ...], cells: list[list[int]]) -> list[list[int]]:
             if len(buckets) == 1:
                 new_cells.append(cell)
             else:
-                changed = True
-                for key in sorted(buckets):
-                    new_cells.append(buckets[key])
-        if not changed:
-            return new_cells
+                pieces = [buckets[key] for key in sorted(buckets)]
+                new_cells += pieces
+                fresh += pieces
         cells = new_cells
+    return cells
+
+
+def _uniform(rows: tuple[int, ...], cells: list[list[int]]) -> bool:
+    """Whether every cell is a clique or a coclique of twins.
+
+    Then each pair of cells is fully joined or not joined at all, so every
+    permutation that keeps each cell in place is an automorphism.  A clique
+    cell's vertices share their closed neighborhood, a coclique's their
+    open one.
+    """
+    for cell in cells:
+        if len(cell) > 1:
+            v = cell[0]
+            if rows[v] >> cell[1] & 1:
+                r = rows[v] | 1 << v
+                if any(rows[w] | 1 << w != r for w in cell):
+                    return False
+            elif any(rows[w] != rows[v] for w in cell):
+                return False
+    return True
 
 
 def _find(parent: list[int], x: int) -> int:
@@ -124,16 +164,19 @@ class _CanonicalSearch:
         self.orbits: list[list[int] | None] = []
 
     def run(self) -> "_CanonicalSearch":
-        self._descend([list(range(self.n))] if self.n else [], [])
+        cells = [list(range(self.n))] if self.n else []
+        self._descend(cells, [], cells)
         return self
 
-    def _descend(self, cells: list[list[int]], fixed: list[int]) -> int | None:
+    def _descend(
+        self, cells: list[list[int]], fixed: list[int], fresh: list[list[int]]
+    ) -> int | None:
         """Search below the node that individualized fixed.
 
         Returns None, or the depth of the ancestor to resume at when the rest
         of this subtree is the image of an explored one under a new generator.
         """
-        cells = _refine(self.rows, cells)
+        cells = _refine(self.rows, cells, fresh)
         branch_at = None
         for i, cell in enumerate(cells):
             if len(cell) > 1:
@@ -149,12 +192,14 @@ class _CanonicalSearch:
             partial = _triangle_key(self.rows, [cells[i][0] for i in range(t)])
             if partial > self.best_key >> (self.n * (self.n - 1) - t * (t - 1)) // 2:
                 return None
+        if _uniform(self.rows, cells):
+            return self._uniform_leaf(cells, fixed)
         depth = len(fixed)
         self.orbits.append(None)
         cell = cells[branch_at]
-        targets = sorted(cell)
-        for v in targets:
-            if v != targets[0]:
+        # cells stay ascending, so targets are tried in ascending order
+        for v in cell:
+            if v != cell[0]:
                 # generators fixing the path preserve the cell, so v is
                 # equivalent to an explored target exactly when it is not
                 # its orbit's minimum
@@ -163,16 +208,38 @@ class _CanonicalSearch:
                     parent = self.orbits[depth] = self._stabilizer_orbits(fixed)
                 if _find(parent, v) != v:
                     continue
-            child = (
-                cells[:branch_at]
-                + [[v], [w for w in cell if w != v]]
-                + cells[branch_at + 1 :]
-            )
-            resume = self._descend(child, fixed + [v])
+            split = [[v], [w for w in cell if w != v]]
+            child = cells[:branch_at] + split + cells[branch_at + 1 :]
+            resume = self._descend(child, fixed + [v], split)
             if resume is not None and resume < depth:
                 self.orbits.pop()
                 return resume
         self.orbits.pop()
+        return None
+
+    def _uniform_leaf(self, cells: list[list[int]], fixed: list[int]) -> int | None:
+        """Settle a node whose partition is uniform at its first leaf.
+
+        Every permutation keeping each cell in place is an automorphism that
+        fixes the prefix, so all leaves below share one key and the first
+        (each cell in ascending order) stands for them all.  Unless it jumps
+        back, the adjacent transpositions inside each cell generate the
+        stabilizer of the prefix; they join the orbits of every node on the
+        path.  Later leaves leave this subtree before fixed ends, so fixed
+        serves as the leaf's path.
+        """
+        resume = self._leaf([v for cell in cells for v in cell], fixed)
+        if resume is not None:
+            return resume
+        for cell in cells:
+            for a, b in zip(cell, cell[1:]):
+                perm = list(range(self.n))
+                perm[a], perm[b] = b, a
+                gen = tuple(perm)
+                self.generators.append(gen)
+                for parent in self.orbits:
+                    if parent is not None:
+                        _merge(parent, gen)
         return None
 
     def _stabilizer_orbits(self, fixed: list[int]) -> list[int]:
@@ -243,11 +310,12 @@ def are_isomorphic(g: Graph, h: Graph) -> bool:
 def automorphism_generators(g: Graph) -> list[tuple[int, ...]]:
     """Generators of the automorphism group, as discovered by the search.
 
-    One per leaf whose encoding equals the first or the best leaf's, each
-    g[v] = image of v; after each the search unwinds past the branch it
-    makes redundant, so few are kept (n - 1 for the empty graph, where
-    every leaf is an automorphic image of the first).  Together they
-    generate the whole group.
+    Each is g[v] = image of v.  One per leaf whose encoding equals the first
+    or the best leaf's, after which the search unwinds past the branch it
+    makes redundant; and the adjacent transpositions inside each cell of a
+    node settled by its uniform partition (n - 1 of them for the empty and
+    complete graphs, n - 2 for a split graph).  Together they generate the
+    whole group.
     """
     return _CanonicalSearch(g.rows, g.n).run().generators
 

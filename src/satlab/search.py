@@ -20,7 +20,7 @@ from typing import Iterable, Iterator
 from .canonical import CanonicalCertificate, nonisomorphic_graphs
 from .counting import MotifSpec, _count_matchings_dp, count_matchings, count_motif
 from .errors import BudgetError, ParameterError
-from .graphs import Graph, make_split, to_graph6
+from .graphs import MAX_VERTICES, Graph, make_split, to_graph6
 from .saturation import _has_clique, check_saturation
 
 EXHAUSTIVE_CAP = 8
@@ -127,6 +127,8 @@ def random_saturated(n: int, s: int, seed: int) -> Graph:
     """
     if n < 1:
         raise ParameterError("vertex count must be positive")
+    if n > MAX_VERTICES:
+        raise ParameterError(f"vertex count {n} exceeds {MAX_VERTICES}")
     if s < 3:
         raise ParameterError("clique order must be at least 3")
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]

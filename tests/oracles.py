@@ -3,7 +3,9 @@
 Everything here works from edge/vertex lists with itertools, deliberately
 sharing no algorithmic machinery with the package: subset enumeration for
 counts, definition-chasing for saturation, permutation search for
-isomorphism.  Slow on purpose.
+isomorphism.  Slow on purpose.  The one exception is ``reference_refine``,
+the package's former all-cells refinement, kept as the reference its
+incremental replacement must reproduce exactly.
 """
 
 from __future__ import annotations
@@ -159,6 +161,28 @@ def brute_automorphism_count(g: Graph) -> int:
         for perm in permutations(range(g.n))
         if all(frozenset((perm[u], perm[v])) in edges for u, v in pairs)
     )
+
+
+def reference_refine(rows: tuple[int, ...], cells: list[list[int]]) -> list[list[int]]:
+    """Equitable ordered partition, counting into every cell on every pass.
+
+    The package's refinement as it was before it counted only into the
+    cells the previous pass created: split each cell by its vertices'
+    adjacency counts into all current cells, order the pieces by those
+    count vectors, and repeat until no cell splits.
+    """
+    while True:
+        masks = [sum(1 << v for v in cell) for cell in cells]
+        new_cells = []
+        for cell in cells:
+            buckets = {}
+            for v in cell:
+                key = tuple((rows[v] & m).bit_count() for m in masks)
+                buckets.setdefault(key, []).append(v)
+            new_cells += [buckets[key] for key in sorted(buckets)]
+        if len(new_cells) == len(cells):
+            return new_cells
+        cells = new_cells
 
 
 def random_permutation(n: int, seed: int) -> list[int]:

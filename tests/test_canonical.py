@@ -1,4 +1,5 @@
 import hashlib
+import random
 from itertools import permutations
 from math import factorial
 
@@ -18,13 +19,14 @@ from satlab import (
     nonisomorphic_graphs,
     to_graph6,
 )
-from satlab.canonical import canonical_labeling
+from satlab.canonical import _refine, canonical_labeling
 from oracles import (
     all_labeled_graphs,
     brute_automorphism_count,
     brute_certificate,
     random_graph,
     random_permutation,
+    reference_refine,
 )
 
 C5 = Graph.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)])
@@ -226,3 +228,91 @@ def test_certificate_bytes_pinned():
     assert _sha256(canonical_certificate(g).data for g in graphs) == (
         "e1b60f53899b6ac4f269fce356915a39f114c3d9fdae00d979c5e9250b14d34e"
     )
+
+
+# every cell of their root partition is a clique or a coclique of twins
+UNIFORM_FAMILIES = [Graph.empty, Graph.complete] + [
+    lambda n, q=q: make_split(n, q) for q in (1, 2, 3)
+]
+UNIFORM_IDS = ["empty", "complete", "split1", "split2", "split3"]
+
+
+def test_canonical_labeling_pinned():
+    # the certificate corpus above plus relabelled empty, complete and split
+    # graphs: pins the ordered partitions the search refines, not only keys
+    graphs = [random_graph(n, 9100 + n) for n in (0, 1, 2, 5, 31, 62, 63, 64, 100, 128)]
+    graphs += [Graph.empty(63), Graph.complete(40), make_split(70, 3)]
+    for i, family in enumerate(UNIFORM_FAMILIES):
+        for n in (9, 24, 40):
+            for seed in range(2):
+                perm = random_permutation(n, 9300 + 100 * i + 10 * n + seed)
+                graphs.append(family(n).relabel(perm))
+    labelings = (",".join(map(str, canonical_labeling(g))).encode() for g in graphs)
+    assert _sha256(labelings) == (
+        "19ae6fc639de55d526c37c545d164add9b34e0968ed5ba4b4e5218e94e44167c"
+    )
+
+
+def _structured_graph(rng: random.Random) -> Graph:
+    """A relabelled graph with large equitable cells: copies of one small
+    random graph plus a few vertices with random edges, sometimes
+    complemented."""
+    k, copies, extra = rng.randint(1, 6), rng.randint(1, 6), rng.randint(0, 4)
+    part = random_graph(k, rng.randrange(10**6), p=rng.random())
+    n = k * copies + extra
+    edges = [(c * k + u, c * k + v) for c in range(copies) for u, v in part.edges()]
+    edges += [(u, v) for v in range(n) for u in range(v) if v >= k * copies and rng.random() < 0.5]
+    g = Graph.from_edges(n, edges)
+    if rng.random() < 0.3:
+        g = g.complement()
+    return g.relabel(random_permutation(n, rng.randrange(10**6)))
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_incremental_refine_matches_all_cells_reference(seed):
+    # after each individualization of a random vertex of a random cell, the
+    # refinement that counts into fresh cells only returns the same ordered
+    # cells as the one that counts into every cell
+    rng = random.Random(8800 + seed)
+    for _ in range(12):
+        if rng.random() < 0.5:
+            g = _structured_graph(rng)
+        else:
+            n = rng.randint(0, 40)
+            g = random_graph(n, rng.randrange(10**6), p=rng.choice([0.05, 0.1, 0.5, 0.9]))
+        cells = [list(range(g.n))] if g.n else []
+        ref = reference_refine(g.rows, cells)
+        assert _refine(g.rows, cells, cells) == ref
+        while len(ref) < g.n:
+            i = rng.choice([i for i, cell in enumerate(ref) if len(cell) > 1])
+            v = rng.choice(ref[i])
+            split = [[v], [w for w in ref[i] if w != v]]
+            child = ref[:i] + split + ref[i + 1 :]
+            ref = reference_refine(g.rows, child)
+            assert _refine(g.rows, child, split) == ref
+
+
+@pytest.mark.parametrize("n", [128, 512])
+@pytest.mark.parametrize("family", UNIFORM_FAMILIES, ids=UNIFORM_IDS)
+def test_uniform_partitions_settle_at_first_leaf(family, n):
+    # the search settles these at the root's first leaf, so n = 512 finishes
+    g = family(n)
+    cert = canonical_certificate(g)
+    assert canonical_certificate(g.relabel(random_permutation(n, 4300 + n))) == cert
+    pos = {v: i for i, v in enumerate(canonical_labeling(g))}
+    nxg = nx.empty_graph(n)
+    nxg.add_edges_from((pos[u], pos[v]) for u, v in g.edges())
+    assert cert.data == nx.to_graph6_bytes(nxg, header=False).strip()
+    gens = automorphism_generators(g)
+    assert len(gens) <= n - 1
+    for gen in gens[:: max(1, len(gens) // 16)]:
+        assert g.relabel(list(gen)) == g
+
+
+@pytest.mark.parametrize("family,q", zip(UNIFORM_FAMILIES, [0, 0, 1, 2, 3]), ids=UNIFORM_IDS)
+def test_uniform_partition_group_orders(family, q):
+    # the transpositions inside each cell generate the whole group:
+    # S_n, or S_q x S_{n-q} for the split graphs
+    for n in range(q + 2, 11):
+        order = factorial(n) if q == 0 else factorial(q) * factorial(n - q)
+        assert automorphism_group_order(family(n)) == order, n

@@ -3,6 +3,7 @@ from itertools import permutations
 import pytest
 
 from satlab import (
+    MAX_VERTICES,
     BudgetError,
     Graph,
     MotifSpec,
@@ -211,6 +212,11 @@ class TestRandomSaturated:
             random_saturated(0, 3, 1)
         with pytest.raises(ParameterError):
             random_saturated(5, 2, 1)
+
+    def test_vertex_count_above_max_raises(self):
+        # checked before the C(n,2) pairs are built and shuffled
+        with pytest.raises(ParameterError, match="513 exceeds 512"):
+            random_saturated(MAX_VERTICES + 1, 3, 1)
 
 
 class TestProbeConjecture:
