@@ -4,13 +4,16 @@ The canonical form is computed by iterated neighborhood refinement: start
 from the unit partition, split cells by adjacency counts until the
 partition is equitable, then backtrack over the vertices of the first
 non-singleton cell.  Each pass counts only into the cells the previous pass
-created (the unit cell at the root; [v] and the rest of v's cell after
-individualizing v), since every older cell already meets each cell in one
-count per vertex.  Among all discrete partitions reached, the one whose
-adjacency upper triangle (column-major, as in graph6) is lexicographically
-smallest defines the canonical labeling.  Pruning follows nauty (McKay
-1981, "Practical graph isomorphism"; McKay & Piperno 2014) and bliss
-(Junttila & Kaski 2007):
+created, all but the last piece of each split cell (the unit cell at the
+root; [v] alone after individualizing v), since every older cell already
+meets each cell in one count per vertex, and the count into a last piece
+is the split cell's count minus those into its other pieces.  Leaving out
+the last piece, rather than the largest as nauty does, keeps every split
+and every piece order as counting into all pieces would.  Among all
+discrete partitions reached, the one whose adjacency upper triangle
+(column-major, as in graph6) is lexicographically smallest defines the
+canonical labeling.  Pruning follows nauty (McKay 1981, "Practical graph
+isomorphism"; McKay & Piperno 2014) and bliss (Junttila & Kaski 2007):
 
 * Branches whose fixed prefix already compares greater than the incumbent
   are cut.
@@ -37,12 +40,17 @@ the automorphisms found generate the whole group: one per jump, plus the
 transpositions of each uniform node, n - 1 of them for the empty and
 complete graphs.
 
-The prefix prune reads the best key's leading bits: when a node's first t
-cells are singletons, every leaf below starts with those t labels, whose
-key is the first C(t,2) bits of the column-major leaf key.  A certificate
-is the best key packed as graph6 bytes, the graph6 of the canonical form
-made without relabeling, so it decodes back to a concrete representative
-and sorts in a stable, platform-free way.
+A leaf's key is its upper triangle as a '0'/'1' string
+(``graphs._triangle_bits``), read from row strings the search formats once,
+so keys of one search have equal length and compare as strings: the
+comparison stops at the first differing byte.  The prefix prune reads the
+best key's leading characters: when a node's first t cells are singletons,
+every leaf below starts with those t labels, whose key is the first C(t,2)
+characters of the column-major leaf key, and a branch whose prefix key
+exceeds ``best_key[:C(t,2)]`` is cut.  A certificate is the best key packed
+as graph6 bytes, the graph6 of the canonical form made without relabeling,
+so it decodes back to a concrete representative and sorts in a stable,
+platform-free way.
 """
 
 from __future__ import annotations
@@ -52,7 +60,7 @@ from functools import lru_cache
 from math import prod
 
 from .errors import ParameterError
-from .graphs import Graph, _pack_graph6, _triangle_key, from_graph6
+from .graphs import Graph, _pack_graph6, _row_strings, _triangle_bits, from_graph6
 
 
 @dataclass(frozen=True, order=True)
@@ -73,38 +81,52 @@ def _refine(
     Each pass splits every cell by the vector of its vertices' adjacency
     counts into the fresh cells, and orders the pieces by that vector.  The
     caller passes as fresh the cells whose counts may differ inside a cell:
-    the unit cell at the root, and [v] and the rest of v's cell after
-    individualizing v in an equitable partition.  Later passes count into
-    the pieces the previous pass created.  Every other cell already has one
-    count for all vertices of a cell, so the vector splits and orders cells
+    the unit cell at the root, and [v] after individualizing v in an
+    equitable partition.  A later pass counts into the pieces the previous
+    pass created except the last piece of each split cell (Hopcroft's rule,
+    keeping piece order rather than skipping the largest piece as nauty
+    does).  Once a pass is done, all vertices of a cell have one count into
+    each cell the pass started from, so a vertex's count into a last piece,
+    or into the rest of v's cell, is that shared count minus its counts
+    into the other pieces.  Every count left out is thus fixed by the
+    vertex's cell and the counts made, so the vector splits and orders cells
     exactly as counts into every cell would, which keeps the resulting cell
     order invariant under relabeling.  Pieces keep their cell's vertex
-    order, so cells that start ascending stay ascending.
+    order, so cells that start ascending stay ascending.  A discrete
+    partition ends the passes.
     """
-    while fresh:
+    n = len(rows)
+    while fresh and len(cells) < n:
         masks = []
         for cell in fresh:
-            m = 0
+            mask = 0
             for v in cell:
-                m |= 1 << v
-            masks.append(m)
+                mask |= 1 << v
+            masks.append(mask)
+        single = masks[0] if len(masks) == 1 else None
         new_cells: list[list[int]] = []
         fresh = []
         for cell in cells:
             if len(cell) == 1:
                 new_cells.append(cell)
                 continue
-            buckets: dict[tuple[int, ...], list[int]] = {}
-            for v in cell:
-                row = rows[v]
-                key = tuple((row & m).bit_count() for m in masks)
-                buckets.setdefault(key, []).append(v)
-            if len(buckets) == 1:
-                new_cells.append(cell)
+            # one comprehension per mask or per vertex, whichever are fewer
+            if single is not None:
+                keys = [(rows[v] & single).bit_count() for v in cell]
+            elif len(cell) < len(masks):
+                keys = [tuple([(rows[v] & m).bit_count() for m in masks]) for v in cell]
             else:
-                pieces = [buckets[key] for key in sorted(buckets)]
-                new_cells += pieces
-                fresh += pieces
+                cell_rows = [rows[v] for v in cell]
+                keys = list(zip(*[[(row & m).bit_count() for row in cell_rows] for m in masks]))
+            if keys.count(keys[0]) == len(keys):
+                new_cells.append(cell)
+                continue
+            buckets: dict = {}
+            for v, key in zip(cell, keys):
+                buckets.setdefault(key, []).append(v)
+            pieces = [buckets[key] for key in sorted(buckets)]
+            new_cells += pieces
+            fresh += pieces[:-1]
         cells = new_cells
     return cells
 
@@ -151,10 +173,11 @@ class _CanonicalSearch:
     def __init__(self, rows: tuple[int, ...], n: int):
         self.rows = rows
         self.n = n
-        self.first_key: int | None = None
+        self.row_strings = _row_strings(n, rows)
+        self.first_key: str | None = None
         self.first_lab: list[int] | None = None
         self.first_path: list[int] | None = None
-        self.best_key: int | None = None
+        self.best_key: str | None = None
         self.best_lab: list[int] | None = None
         self.best_path: list[int] | None = None
         self.generators: list[tuple[int, ...]] = []
@@ -186,11 +209,9 @@ class _CanonicalSearch:
             return self._leaf([cell[0] for cell in cells], fixed)
         if self.best_key is not None:
             # all leaves below share the labels of the leading singletons, so
-            # their keys start with partial; the best's starts with its top
-            # C(t,2) bits
-            t = branch_at
-            partial = _triangle_key(self.rows, [cells[i][0] for i in range(t)])
-            if partial > self.best_key >> (self.n * (self.n - 1) - t * (t - 1)) // 2:
+            # their keys start with partial
+            partial = _triangle_bits(self.row_strings, [cells[i][0] for i in range(branch_at)])
+            if partial > self.best_key[: len(partial)]:
                 return None
         if _uniform(self.rows, cells):
             return self._uniform_leaf(cells, fixed)
@@ -208,9 +229,9 @@ class _CanonicalSearch:
                     parent = self.orbits[depth] = self._stabilizer_orbits(fixed)
                 if _find(parent, v) != v:
                     continue
-            split = [[v], [w for w in cell if w != v]]
-            child = cells[:branch_at] + split + cells[branch_at + 1 :]
-            resume = self._descend(child, fixed + [v], split)
+            # counts into the rest of the cell follow from those into [v]
+            child = cells[:branch_at] + [[v], [w for w in cell if w != v]] + cells[branch_at + 1 :]
+            resume = self._descend(child, fixed + [v], [[v]])
             if resume is not None and resume < depth:
                 self.orbits.pop()
                 return resume
@@ -250,7 +271,7 @@ class _CanonicalSearch:
         return parent
 
     def _leaf(self, lab: list[int], fixed: list[int]) -> int | None:
-        key = _triangle_key(self.rows, lab)
+        key = _triangle_bits(self.row_strings, lab)
         if self.best_key is None:
             self.first_key, self.first_lab, self.first_path = key, lab, fixed
             self.best_key, self.best_lab, self.best_path = key, lab, fixed

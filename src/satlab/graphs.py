@@ -10,8 +10,12 @@ header followed by the upper-triangle bits in column-major order
 (x_{0,1}, x_{0,2}, x_{1,2}, x_{0,3}, ...), zero-padded to 6-bit groups,
 each group offset by 63 into printable ASCII.  Both directions go through
 ``binascii``'s base64 codec, which cuts bytes into 6-bit groups in the same
-order: ``_pack_graph6`` packs a triangle key, and ``from_graph6`` is its
-exact inverse.
+order: ``_pack_graph6`` packs the payload bits, given as a '0'/'1' string,
+and ``from_graph6`` is its exact inverse.  The canonical search builds
+those strings for each candidate labeling: ``_row_strings`` formats every
+row once as a '0'/'1' string indexed by vertex, and ``_triangle_bits``
+reads the relabeled upper triangle from them in payload order.  This module
+keeps all knowledge of that bit order.
 
 ``Graph(n, rows)`` validates every row: no bits outside 0..n-1, no loops,
 symmetric adjacency.  ``Graph._unchecked(n, rows)`` checks only n against
@@ -243,23 +247,33 @@ def _decode_size(data: bytes) -> tuple[int, int]:
     return b0 - 63, 1
 
 
-def _triangle_key(rows: tuple[int, ...], lab: list[int]) -> int:
-    """The upper triangle of rows relabeled so that position i holds vertex lab[i].
+# the row strings of every row on at most 8 vertices; a lookup is several
+# times cheaper than bin(), which matters for the many small searches of the
+# isomorph-free enumeration
+_BYTE_ROW_STRINGS = [bin(row | 256)[::-1] for row in range(256)]
 
-    Bits run in graph6 payload order, column-major with x_{0,1} most
-    significant, so a smaller key is a lexicographically smaller encoding
-    and the key of a label prefix lab[:t] is the leading C(t,2) bits of the
-    key.  Built a column at a time, so the big int is shifted once per
-    column, not once per bit.
+
+def _row_strings(n: int, rows: tuple[int, ...]) -> list[str]:
+    """Each row as a '0'/'1' string indexed by vertex: s[u] is '1' exactly when uv is an edge.
+
+    Characters past position n - 1 are padding and are never read.
     """
-    key = 0
-    for j in range(1, len(lab)):
-        col = rows[lab[j]]
-        bits = 0
-        for v in lab[:j]:
-            bits = (bits << 1) | ((col >> v) & 1)
-        key = (key << j) | bits
-    return key
+    if n <= 8:
+        return [_BYTE_ROW_STRINGS[row] for row in rows]
+    # bin() of row | 1 << n, reversed, is n bits from bit 0 up, then "1b0"
+    pad = 1 << n
+    return [bin(row | pad)[::-1] for row in rows]
+
+
+def _triangle_bits(row_strings: list[str], lab: list[int]) -> str:
+    """The upper triangle of the graph relabeled so that position i holds vertex lab[i].
+
+    A '0'/'1' string in graph6 payload order, column-major with x_{0,1}
+    first, so a smaller string (of equal length) is a lexicographically
+    smaller encoding and the bits of a label prefix lab[:t] are the leading
+    C(t,2) characters.  Column j reads row lab[j] at the labels lab[:j].
+    """
+    return "".join([row[u] for j, row in enumerate(map(row_strings.__getitem__, lab)) for u in lab[:j]])
 
 
 # base64 cuts bytes into 6-bit groups most significant first, as graph6 does,
@@ -270,14 +284,14 @@ _BASE64_TO_GRAPH6 = bytes.maketrans(_BASE64_ALPHABET, _GRAPH6_ALPHABET)
 _GRAPH6_TO_BASE64 = bytes.maketrans(_GRAPH6_ALPHABET, _BASE64_ALPHABET)
 
 
-def _pack_graph6(n: int, key: int) -> bytes:
-    """graph6 bytes of the n-vertex graph whose triangle key is key."""
+def _pack_graph6(n: int, bits: str) -> bytes:
+    """graph6 bytes of the n-vertex graph whose upper triangle is bits ('0'/'1', payload order)."""
     nbits = n * (n - 1) // 2
     groups = (nbits + 5) // 6
     blocks = (groups + 3) // 4
     # left-align the bits in whole 24-bit blocks (4 groups each); groups past
     # the last one that holds payload bits are cut off
-    body = (key << (24 * blocks - nbits)).to_bytes(3 * blocks, "big")
+    body = (int(bits or "0", 2) << (24 * blocks - nbits)).to_bytes(3 * blocks, "big")
     payload = binascii.b2a_base64(body, newline=False)[:groups]
     return _encode_size(n) + payload.translate(_BASE64_TO_GRAPH6)
 
@@ -286,7 +300,7 @@ def to_graph6(g: Graph) -> bytes:
     """Encode to graph6 bytes (no trailing newline, no '>>graph6<<' header)."""
     # column v, x_{0,v} first, is the low v bits of rows[v] in reverse
     bits = "".join([format(g.rows[v] & ((1 << v) - 1), f"0{v}b")[::-1] for v in range(1, g.n)])
-    return _pack_graph6(g.n, int(bits or "0", 2))
+    return _pack_graph6(g.n, bits)
 
 
 def from_graph6(data: bytes | str) -> Graph:
@@ -312,7 +326,7 @@ def from_graph6(data: bytes | str) -> Graph:
         raise Graph6Error(f"payload byte {payload[offset]} outside graph6 range", pos + offset)
     # the inverse of _pack_graph6: back to base64, padded with zero groups
     # ("A") to whole 24-bit blocks, and read as one int whose leading nbits
-    # bits are the triangle key
+    # bits are the payload bits
     b64 = payload.translate(_GRAPH6_TO_BASE64) + b"A" * (-nbytes % 4)
     slack = 6 * len(b64) - nbits
     body = int.from_bytes(binascii.a2b_base64(b64), "big")

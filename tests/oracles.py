@@ -3,15 +3,16 @@
 Everything here works from edge/vertex lists with itertools, deliberately
 sharing no algorithmic machinery with the package: subset enumeration for
 counts, definition-chasing for saturation, permutation search for
-isomorphism.  Slow on purpose.  The one exception is ``reference_refine``,
-the package's former all-cells refinement, kept as the reference its
-incremental replacement must reproduce exactly.
+isomorphism.  Slow on purpose.  The two exceptions are former package code,
+kept as references their replacements must reproduce exactly:
+``reference_refine``, the all-cells refinement, and
+``reference_triangle_key``, the leaf key built one bit at a time.
 """
 
 from __future__ import annotations
 
 import random
-from itertools import combinations, permutations
+from itertools import combinations, count, permutations
 
 from satlab import Graph
 
@@ -163,15 +164,18 @@ def brute_automorphism_count(g: Graph) -> int:
     )
 
 
-def reference_refine(rows: tuple[int, ...], cells: list[list[int]]) -> list[list[int]]:
+def reference_refine(
+    rows: tuple[int, ...], cells: list[list[int]], splits: list | None = None
+) -> list[list[int]]:
     """Equitable ordered partition, counting into every cell on every pass.
 
     The package's refinement as it was before it counted only into the
     cells the previous pass created: split each cell by its vertices'
     adjacency counts into all current cells, order the pieces by those
-    count vectors, and repeat until no cell splits.
+    count vectors, and repeat until no cell splits.  If splits is given,
+    each split appends (pass number from 0, number of pieces) to it.
     """
-    while True:
+    for pass_number in count():
         masks = [sum(1 << v for v in cell) for cell in cells]
         new_cells = []
         for cell in cells:
@@ -180,9 +184,28 @@ def reference_refine(rows: tuple[int, ...], cells: list[list[int]]) -> list[list
                 key = tuple((rows[v] & m).bit_count() for m in masks)
                 buckets.setdefault(key, []).append(v)
             new_cells += [buckets[key] for key in sorted(buckets)]
+            if splits is not None and len(buckets) > 1:
+                splits.append((pass_number, len(buckets)))
         if len(new_cells) == len(cells):
             return new_cells
         cells = new_cells
+
+
+def reference_triangle_key(rows: tuple[int, ...], lab: list[int]) -> int:
+    """The upper triangle of rows relabeled so that position i holds vertex lab[i].
+
+    Bits run in graph6 payload order, column-major with x_{0,1} most
+    significant; built one bit at a time.  The package's leaf key as it was
+    before keys became '0'/'1' strings.
+    """
+    key = 0
+    for j in range(1, len(lab)):
+        col = rows[lab[j]]
+        bits = 0
+        for v in lab[:j]:
+            bits = (bits << 1) | ((col >> v) & 1)
+        key = (key << j) | bits
+    return key
 
 
 def random_permutation(n: int, seed: int) -> list[int]:

@@ -37,6 +37,22 @@ def perfect_matching(n: int) -> Graph:
     return Graph.from_edges(n, [(2 * i, 2 * i + 1) for i in range(n // 2)])
 
 
+def disjoint_triangles(n: int) -> Graph:
+    """Triangles on consecutive vertices; n mod 3 vertices are left over
+    as a last, smaller clique."""
+    blocks = [range(base, min(base + 3, n)) for base in range(0, n, 3)]
+    return Graph.from_edges(n, [(u, v) for block in blocks for u in block for v in block if u < v])
+
+
+def networkx_canonical_graph6(g: Graph) -> bytes:
+    """networkx's graph6 of g relabeled by its canonical labeling, made
+    independently of the packed search key the certificate comes from."""
+    pos = {v: i for i, v in enumerate(canonical_labeling(g))}
+    nxg = nx.empty_graph(g.n)
+    nxg.add_edges_from((pos[u], pos[v]) for u, v in g.edges())
+    return nx.to_graph6_bytes(nxg, header=False).strip()
+
+
 def test_certificate_invariant_under_explicit_relabeling():
     relabeled = C5.relabel([2, 4, 1, 3, 0])
     assert canonical_certificate(C5) == canonical_certificate(relabeled)
@@ -202,10 +218,7 @@ def test_certificate_is_networkx_graph6_of_canonical_relabeling(n):
     # networkx encodes the canonically relabeled graph independently of the
     # packed search key the certificate is made from
     g = random_graph(n, 5200 + n, p=0.3)
-    pos = {v: i for i, v in enumerate(canonical_labeling(g))}
-    nxg = nx.empty_graph(n)
-    nxg.add_edges_from((pos[u], pos[v]) for u, v in g.edges())
-    assert canonical_certificate(g).data == nx.to_graph6_bytes(nxg, header=False).strip()
+    assert canonical_certificate(g).data == networkx_canonical_graph6(g)
 
 
 def _sha256(lines) -> str:
@@ -268,11 +281,27 @@ def _structured_graph(rng: random.Random) -> Graph:
     return g.relabel(random_permutation(n, rng.randrange(10**6)))
 
 
+def _individualize_and_compare(g: Graph, rng: random.Random, splits: list | None = None) -> None:
+    """Refine at the root, then individualize a random vertex of a random
+    cell until the partition is discrete; after each step the refinement
+    that counts into fresh cells only must return the same ordered cells as
+    the one that counts into every cell, both when given [v] alone (as the
+    search does) and [v] with the rest of its cell."""
+    cells = [list(range(g.n))] if g.n else []
+    ref = reference_refine(g.rows, cells, splits)
+    assert _refine(g.rows, cells, cells) == ref
+    while len(ref) < g.n:
+        i = rng.choice([i for i, cell in enumerate(ref) if len(cell) > 1])
+        v = rng.choice(ref[i])
+        split = [[v], [w for w in ref[i] if w != v]]
+        child = ref[:i] + split + ref[i + 1 :]
+        ref = reference_refine(g.rows, child, splits)
+        assert _refine(g.rows, child, split) == ref
+        assert _refine(g.rows, child, [[v]]) == ref
+
+
 @pytest.mark.parametrize("seed", range(12))
 def test_incremental_refine_matches_all_cells_reference(seed):
-    # after each individualization of a random vertex of a random cell, the
-    # refinement that counts into fresh cells only returns the same ordered
-    # cells as the one that counts into every cell
     rng = random.Random(8800 + seed)
     for _ in range(12):
         if rng.random() < 0.5:
@@ -280,16 +309,36 @@ def test_incremental_refine_matches_all_cells_reference(seed):
         else:
             n = rng.randint(0, 40)
             g = random_graph(n, rng.randrange(10**6), p=rng.choice([0.05, 0.1, 0.5, 0.9]))
-        cells = [list(range(g.n))] if g.n else []
-        ref = reference_refine(g.rows, cells)
-        assert _refine(g.rows, cells, cells) == ref
-        while len(ref) < g.n:
-            i = rng.choice([i for i, cell in enumerate(ref) if len(cell) > 1])
-            v = rng.choice(ref[i])
-            split = [[v], [w for w in ref[i] if w != v]]
-            child = ref[:i] + split + ref[i + 1 :]
-            ref = reference_refine(g.rows, child)
-            assert _refine(g.rows, child, split) == ref
+        _individualize_and_compare(g, rng)
+
+
+def _star_forest(rng: random.Random) -> Graph:
+    """A relabelled disjoint union of stars with three to five distinct
+    sizes, a few copies of each, and some random edges between centers.
+    The leaves share a degree, so the root's first pass puts them in one
+    cell, and the next pass splits that cell by the size of their star."""
+    edges, n = [], 0
+    centers = []
+    for size in rng.sample(range(2, 9), rng.randint(3, 5)):
+        for _ in range(rng.randint(1, 3)):
+            centers.append(n)
+            edges += [(n, n + leaf) for leaf in range(1, size + 1)]
+            n += size + 1
+    edges += [(u, v) for u in centers for v in centers if u < v and rng.random() < 0.2]
+    g = Graph.from_edges(n, edges)
+    return g.relabel(random_permutation(n, rng.randrange(10**6)))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_refine_skipping_last_pieces_matches_reference_on_multiway_splits(seed):
+    # a cell that splits into three or more pieces after the first pass
+    # leaves two or more fresh pieces besides the skipped last one, so the
+    # counts into that last piece must be derived correctly more than once
+    rng = random.Random(9900 + seed)
+    splits: list[tuple[int, int]] = []
+    for _ in range(6):
+        _individualize_and_compare(_star_forest(rng), rng, splits)
+    assert any(pass_number > 0 and pieces >= 3 for pass_number, pieces in splits)
 
 
 @pytest.mark.parametrize("n", [128, 512])
@@ -299,10 +348,7 @@ def test_uniform_partitions_settle_at_first_leaf(family, n):
     g = family(n)
     cert = canonical_certificate(g)
     assert canonical_certificate(g.relabel(random_permutation(n, 4300 + n))) == cert
-    pos = {v: i for i, v in enumerate(canonical_labeling(g))}
-    nxg = nx.empty_graph(n)
-    nxg.add_edges_from((pos[u], pos[v]) for u, v in g.edges())
-    assert cert.data == nx.to_graph6_bytes(nxg, header=False).strip()
+    assert cert.data == networkx_canonical_graph6(g)
     gens = automorphism_generators(g)
     assert len(gens) <= n - 1
     for gen in gens[:: max(1, len(gens) // 16)]:
@@ -316,3 +362,24 @@ def test_uniform_partition_group_orders(family, q):
     for n in range(q + 2, 11):
         order = factorial(n) if q == 0 else factorial(q) * factorial(n - q)
         assert automorphism_group_order(family(n)) == order, n
+
+
+@pytest.mark.parametrize("n", [64, 96])
+@pytest.mark.parametrize(
+    "family", [perfect_matching, disjoint_triangles], ids=["matching", "triangles"]
+)
+def test_regular_non_uniform_graphs_certify(family, n):
+    # regular graphs whose root cell is neither a clique nor a coclique, so
+    # the uniform shortcut does not settle them at the root
+    g = family(n)
+    cert = canonical_certificate(g)
+    assert canonical_certificate(g.relabel(random_permutation(n, 4500 + n))) == cert
+    assert cert.data == networkx_canonical_graph6(g)
+    for gen in automorphism_generators(g):
+        assert g.relabel(list(gen)) == g
+
+
+def test_perfect_matching_group_orders():
+    # S_2 wr S_{n/2}: swap inside each edge, permute the edges
+    for n in range(2, 11, 2):
+        assert automorphism_group_order(perfect_matching(n)) == 2 ** (n // 2) * factorial(n // 2), n

@@ -17,7 +17,8 @@ from satlab import (
     random_saturated,
     to_graph6,
 )
-from oracles import all_labeled_graphs, random_graph
+from satlab.graphs import _row_strings, _triangle_bits
+from oracles import all_labeled_graphs, random_graph, random_permutation, reference_triangle_key
 
 
 class TestGraphType:
@@ -313,3 +314,25 @@ class TestUncheckedConstruction:
             join(Graph.empty(256), Graph.empty(257))
         with pytest.raises(ParameterError):
             random_saturated(513, 3, seed=1)
+
+
+class TestTriangleBits:
+    # n = 8 is the last size whose row strings come from the lookup table
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 7, 8, 9, 31, 64, 128, 512])
+    def test_matches_bitwise_reference_key(self, n):
+        rng = random.Random(6100 + n)
+        for trial in range(3):
+            g = random_graph(n, rng.randrange(10**6), p=(0.1, 0.4, 0.8)[trial])
+            strings = _row_strings(n, g.rows)
+            for _ in range(2):
+                lab = random_permutation(n, rng.randrange(10**6))
+                bits = _triangle_bits(strings, lab)
+                assert len(bits) == n * (n - 1) // 2
+                assert set(bits) <= {"0", "1"}
+                assert int(bits or "0", 2) == reference_triangle_key(g.rows, lab)
+                # the prefix prune relies on prefix keys being leading characters
+                for t in {0, 1, 2, n // 2, n - 1, rng.randint(0, n)}:
+                    if 0 <= t <= n:
+                        prefix = _triangle_bits(strings, lab[:t])
+                        assert prefix == bits[: t * (t - 1) // 2]
+                        assert int(prefix or "0", 2) == reference_triangle_key(g.rows, lab[:t])
