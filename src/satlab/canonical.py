@@ -79,7 +79,12 @@ def _refine(
     """Refine to an equitable ordered partition.
 
     Each pass splits every cell by the vector of its vertices' adjacency
-    counts into the fresh cells, and orders the pieces by that vector.  The
+    counts into the fresh cells, and orders the pieces by that vector.  It
+    does so one fresh cell at a time: the pieces split by the count into the
+    first fresh cell, in ascending order, each of them then by the count
+    into the second, and so on, which is the lexicographic order of the
+    vectors.  Every count is a plain int, and a cell stops once its pieces
+    are singletons.  The
     caller passes as fresh the cells whose counts may differ inside a cell:
     the unit cell at the root, and [v] after individualizing v in an
     equitable partition.  A later pass counts into the pieces the previous
@@ -103,28 +108,29 @@ def _refine(
             for v in cell:
                 mask |= 1 << v
             masks.append(mask)
-        single = masks[0] if len(masks) == 1 else None
         new_cells: list[list[int]] = []
         fresh = []
         for cell in cells:
             if len(cell) == 1:
                 new_cells.append(cell)
                 continue
-            # one comprehension per mask or per vertex, whichever are fewer
-            if single is not None:
-                keys = [(rows[v] & single).bit_count() for v in cell]
-            elif len(cell) < len(masks):
-                keys = [tuple([(rows[v] & m).bit_count() for m in masks]) for v in cell]
-            else:
-                cell_rows = [rows[v] for v in cell]
-                keys = list(zip(*[[(row & m).bit_count() for row in cell_rows] for m in masks]))
-            if keys.count(keys[0]) == len(keys):
-                new_cells.append(cell)
-                continue
-            buckets: dict = {}
-            for v, key in zip(cell, keys):
-                buckets.setdefault(key, []).append(v)
-            pieces = [buckets[key] for key in sorted(buckets)]
+            # sorting by the count vector is splitting by each count in turn
+            pieces = [cell]
+            for mask in masks:
+                if len(pieces) == len(cell):
+                    break
+                split = []
+                for piece in pieces:
+                    if len(piece) > 1:
+                        keys = [(rows[v] & mask).bit_count() for v in piece]
+                        if keys.count(keys[0]) != len(keys):
+                            buckets: dict = {}
+                            for v, key in zip(piece, keys):
+                                buckets.setdefault(key, []).append(v)
+                            split += [buckets[key] for key in sorted(buckets)]
+                            continue
+                    split.append(piece)
+                pieces = split
             new_cells += pieces
             fresh += pieces[:-1]
         cells = new_cells

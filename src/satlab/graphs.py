@@ -247,19 +247,11 @@ def _decode_size(data: bytes) -> tuple[int, int]:
     return b0 - 63, 1
 
 
-# the row strings of every row on at most 8 vertices; a lookup is several
-# times cheaper than bin(), which matters for the many small searches of the
-# isomorph-free enumeration
-_BYTE_ROW_STRINGS = [bin(row | 256)[::-1] for row in range(256)]
-
-
 def _row_strings(n: int, rows: tuple[int, ...]) -> list[str]:
     """Each row as a '0'/'1' string indexed by vertex: s[u] is '1' exactly when uv is an edge.
 
     Characters past position n - 1 are padding and are never read.
     """
-    if n <= 8:
-        return [_BYTE_ROW_STRINGS[row] for row in rows]
     # bin() of row | 1 << n, reversed, is n bits from bit 0 up, then "1b0"
     pad = 1 << n
     return [bin(row | pad)[::-1] for row in rows]

@@ -317,7 +317,6 @@ class TestUncheckedConstruction:
 
 
 class TestTriangleBits:
-    # n = 8 is the last size whose row strings come from the lookup table
     @pytest.mark.parametrize("n", [0, 1, 2, 3, 7, 8, 9, 31, 64, 128, 512])
     def test_matches_bitwise_reference_key(self, n):
         rng = random.Random(6100 + n)
