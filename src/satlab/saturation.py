@@ -1,10 +1,16 @@
 """Clique-freeness and saturation checking.
 
 A graph is K_s-saturated when it has no s-clique but gains one on the
-addition of any missing edge; equivalently, it is maximal K_s-free.  The
-per-non-edge test never materializes the augmented graph: adding uv
-creates an s-clique exactly when the common neighborhood of u and v
-already contains a clique of size s-2.
+addition of any missing edge; equivalently, it is maximal K_s-free.  No
+augmented graph is ever built: adding uv creates an s-clique exactly when
+the common neighborhood of u and v already contains a clique of size s-2.
+
+``check_saturation`` sweeps each vertex u once.  It takes the lowest
+non-neighbour v > u still open and searches N(u) & N(v) for one K_{s-2};
+that clique also lies in N(u) & N(w) for every open w it is fully joined
+to, so all those non-edges uw are settled by the one search.  Only when
+no clique exists is uv a failure, and v alone is settled.  Failures come
+out in lexicographic order.
 """
 
 from __future__ import annotations
@@ -17,8 +23,15 @@ from .graphs import Graph
 
 def _has_clique(rows, cand: int, size: int) -> bool:
     """Does the candidate set contain a clique of the given size?"""
-    if size <= 0:
-        return True
+    if size <= 1:
+        return size <= 0 or cand != 0
+    if size == 2:
+        while cand:
+            low = cand & -cand
+            cand ^= low
+            if cand & rows[low.bit_length() - 1]:
+                return True
+        return False
     while cand:
         if cand.bit_count() < size:
             return False
@@ -27,6 +40,28 @@ def _has_clique(rows, cand: int, size: int) -> bool:
         if _has_clique(rows, cand & rows[low.bit_length() - 1], size - 1):
             return True
     return False
+
+
+def _witness(rows, cand: int, size: int, reach: int) -> int:
+    """``reach`` restricted to the common neighborhood of the first clique
+    of the given size found in the candidate set, or 0 if there is none.
+
+    Callers pass a ``reach`` holding a vertex adjacent to every candidate,
+    so a found clique never yields 0."""
+    if size <= 0:
+        return reach
+    if size == 1:
+        return cand and reach & rows[(cand & -cand).bit_length() - 1]
+    while cand:
+        if cand.bit_count() < size:
+            return 0
+        low = cand & -cand
+        cand ^= low
+        row = rows[low.bit_length() - 1]
+        found = _witness(rows, cand & row, size - 1, reach & row)
+        if found:
+            return found
+    return 0
 
 
 def contains_clique(g: Graph, s: int) -> bool:
@@ -83,14 +118,24 @@ def check_saturation(g: Graph, s: int) -> SaturationReport:
     if s < 2:
         raise ParameterError("clique order must be at least 2")
     is_free = not contains_clique(g, s)
-    failures = tuple(
-        (u, v) for u, v in g.non_edges() if not creates_clique_on_addition(g, u, v, s)
-    )
+    rows = g.rows
+    failures = []
+    for u, row in enumerate(rows):
+        open_ = ((1 << g.n) - (2 << u)) & ~row  # non-neighbours v > u
+        while open_:
+            low = open_ & -open_
+            v = low.bit_length() - 1
+            # v is adjacent to every candidate, so a found clique settles v too
+            settled = _witness(rows, row & rows[v], s - 2, open_)
+            if not settled:
+                failures.append((u, v))
+                settled = low
+            open_ ^= settled
     return SaturationReport(
         n=g.n,
         s=s,
         is_free=is_free,
-        missing_edge_failures=failures,
+        missing_edge_failures=tuple(failures),
         is_saturated=is_free and not failures,
         vacuous=g.n < s or s == 2,
     )

@@ -3,10 +3,11 @@
 Everything here works from edge/vertex lists with itertools, deliberately
 sharing no algorithmic machinery with the package: subset enumeration for
 counts, definition-chasing for saturation, permutation search for
-isomorphism.  Slow on purpose.  The two exceptions are former package code,
-kept as references their replacements must reproduce exactly:
-``reference_refine``, the all-cells refinement, and
-``reference_triangle_key``, the leaf key built one bit at a time.
+isomorphism.  Slow on purpose.  The three exceptions are former package
+code, kept as references their replacements must reproduce exactly:
+``reference_refine``, the all-cells refinement,
+``reference_triangle_key``, the leaf key built one bit at a time, and
+``reference_saturation_report``, one clique search per non-edge.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from __future__ import annotations
 import random
 from itertools import combinations, count, permutations
 
-from satlab import Graph
+from satlab import Graph, contains_clique, creates_clique_on_addition
 
 
 def random_graph(n: int, seed: int, p: float = 0.5) -> Graph:
@@ -212,3 +213,18 @@ def random_permutation(n: int, seed: int) -> list[int]:
     perm = list(range(n))
     random.Random(seed).shuffle(perm)
     return perm
+
+
+def reference_saturation_report(g: Graph, s: int) -> dict:
+    """``check_saturation(g, s).to_json_dict()`` by its definition: one
+    ``creates_clique_on_addition`` test per non-edge, in lexicographic order."""
+    is_free = not contains_clique(g, s)
+    failures = [[u, v] for u, v in g.non_edges() if not creates_clique_on_addition(g, u, v, s)]
+    return {
+        "n": g.n,
+        "s": s,
+        "is_free": is_free,
+        "missing_edge_failures": failures,
+        "is_saturated": is_free and not failures,
+        "vacuous": g.n < s or s == 2,
+    }

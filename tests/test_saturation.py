@@ -1,3 +1,6 @@
+import hashlib
+import json
+
 import pytest
 
 from satlab import (
@@ -8,8 +11,16 @@ from satlab import (
     count_cliques,
     creates_clique_on_addition,
     make_split,
+    nonisomorphic_graphs,
+    random_saturated,
 )
-from oracles import all_labeled_graphs, naive_contains_clique, naive_is_saturated, random_graph
+from oracles import (
+    all_labeled_graphs,
+    naive_contains_clique,
+    naive_is_saturated,
+    random_graph,
+    reference_saturation_report,
+)
 
 C5 = Graph.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)])
 P4 = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
@@ -145,3 +156,40 @@ class TestCheckSaturation:
         d = check_saturation(P4, 3).to_json_dict()
         assert d["is_saturated"] is False
         assert d["missing_edge_failures"] == [[0, 3]]
+
+
+class TestSweepMatchesPerNonEdgeDefinition:
+    # check_saturation settles every non-edge a found clique covers at once;
+    # the reference runs one creates_clique_on_addition per non-edge
+
+    @pytest.mark.parametrize("s", range(2, 7))
+    def test_every_class_up_to_seven_vertices(self, s):
+        # n = 0, 1 and 2 included
+        for n in range(8):
+            for g in nonisomorphic_graphs(n):
+                assert check_saturation(g, s).to_json_dict() == reference_saturation_report(g, s)
+
+    @pytest.mark.parametrize("p", [0.1, 0.3, 0.5, 0.7, 0.9])
+    def test_seeded_random_graphs(self, p):
+        # sparse draws fail on many non-edges, dense ones already hold K_s
+        for n in (3, 8, 17, 32, 48, 64):
+            for seed in range(2):
+                g = random_graph(n, 9500 + 10 * n + seed, p)
+                for s in range(2, 7):
+                    assert check_saturation(g, s).to_json_dict() == reference_saturation_report(g, s)
+
+
+def test_sampler_and_reports_pinned():
+    # sampled rows, and the reports of each sample and of the sample less its
+    # first edge (so failures are listed), as the per-non-edge loop gave them
+    records = []
+    for n in (1, 2, 5, 17, 32, 48, 64, 100):
+        for s in (3, 4, 5, 6):
+            for seed in (0, 1, 2):
+                g = random_saturated(n, s, seed)
+                cut = Graph.from_edges(n, list(g.edges())[1:])
+                reports = [check_saturation(h, s).to_json_dict() for h in (g, cut)]
+                records.append(json.dumps([g.rows, *reports]).encode() + b"\n")
+    assert hashlib.sha256(b"".join(records)).hexdigest() == (
+        "4bfad3623eade7baecce56f7799f40d88479376bb0f10706349c39df2547d0b3"
+    )
