@@ -35,10 +35,42 @@ isomorphism"; McKay & Piperno 2014) and bliss (Junttila & Kaski 2007):
   generators.  This settles the empty and complete graphs and the split
   graphs S_{n,q} at the root.
 
-None of this changes which leaf is best, only how many are visited, and
-the automorphisms found generate the whole group: one per jump, plus the
-transpositions of each uniform node, n - 1 of them for the empty and
-complete graphs.
+None of this changes which leaf is best, only how many are visited.
+
+The automorphism group's order is read off the first path, the one to the
+first leaf, as in nauty.  A node is on it exactly when no leaf exists as it
+starts.  When such a node with prefix P finishes, ``order`` gains the
+length of its first child c's orbit in its union-find; where the path ends,
+a uniform node gives the product of |C|! over its cells (a discrete leaf
+gives 1).  With Aut_P the automorphisms fixing P pointwise, orbit and
+stabilizer give |Aut_P| = |c^Aut_P| * |Aut_{P,c}|, so the product is |Aut|
+once each of those union-finds holds the orbits of all of Aut_P.  That
+holds, but by way of the best path, not the first: the prefix prune can
+cut a sibling of c in c's orbit.
+
+* When a first-path node starts, no leaf exists outside its subtree, so no
+  jump leaves the subtree and every generator found in it fixes P: it is a
+  fresh search of the graph coloured by the node's partition.  Let B be
+  that search's final best key.
+* From the node, follow the chain of children each of which is the first
+  tried whose subtree holds a leaf with key B.  No chain node is cut or
+  abandoned: its prefix key is a prefix of B, never above ``best_key``'s,
+  and the earlier sibling that an orbit prune or a jump's generator would
+  map onto it would hold such a leaf too.  So the chain is the best path,
+  every node on it finishes, and no generator found below a chain node
+  with prefix Q jumps above it: its union-find holds every generator found
+  that fixes Q.
+* Let b be the chain child of that node.  Every other w in b's orbit under
+  Aut_Q is tried after b, once ``best_key`` is B, and its subtree holds a
+  leaf with key B.  Either w is orbit-pruned, joined to b through earlier
+  targets, or its search ends in a jump back to Q whose generator maps b
+  onto w: at the latest its own chain reaches a leaf with key B, which
+  matches the best leaf.  (A jump matching the first leaf maps the first
+  child onto w, which makes that child b.)
+* By induction up the chain, the generators found that fix Q include
+  generators of Aut_{Q,b} and a transversal of b's orbit, so they generate
+  Aut_Q.  The chain ends at a discrete leaf, where Aut_Q is trivial, or at
+  a uniform node, whose transpositions generate Aut_Q.
 
 A leaf's key is its upper triangle as a '0'/'1' string
 (``graphs._triangle_bits``), read from row strings the search formats once,
@@ -57,7 +89,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import prod
+from math import factorial
 
 from .errors import ParameterError
 from .graphs import Graph, _pack_graph6, _row_strings, _triangle_bits, from_graph6
@@ -187,6 +219,8 @@ class _CanonicalSearch:
         self.best_lab: list[int] | None = None
         self.best_path: list[int] | None = None
         self.generators: list[tuple[int, ...]] = []
+        # |Aut|: one factor per node on the first path
+        self.order = 1
         # orbits[d]: union-find over the generators fixing the first d
         # vertices of the current path, built when that node tries its
         # second child (None before)
@@ -213,13 +247,17 @@ class _CanonicalSearch:
                 break
         if branch_at is None:
             return self._leaf([cell[0] for cell in cells], fixed)
-        if self.best_key is not None:
+        first = self.best_key is None
+        if not first:
             # all leaves below share the labels of the leading singletons, so
             # their keys start with partial
             partial = _triangle_bits(self.row_strings, [cells[i][0] for i in range(branch_at)])
             if partial > self.best_key[: len(partial)]:
                 return None
         if _uniform(self.rows, cells):
+            if first:
+                for c in cells:
+                    self.order *= factorial(len(c))
             return self._uniform_leaf(cells, fixed)
         depth = len(fixed)
         self.orbits.append(None)
@@ -241,7 +279,10 @@ class _CanonicalSearch:
             if resume is not None and resume < depth:
                 self.orbits.pop()
                 return resume
-        self.orbits.pop()
+        parent = self.orbits.pop()
+        if first:
+            # cell[0] is the cell's minimum, so the root of its orbit
+            self.order *= sum(_find(parent, v) == cell[0] for v in cell)
         return None
 
     def _uniform_leaf(self, cells: list[list[int]], fixed: list[int]) -> int | None:
@@ -350,62 +391,12 @@ def automorphism_generators(g: Graph) -> list[tuple[int, ...]]:
 def automorphism_group_order(g: Graph) -> int:
     """Order of the automorphism group.
 
-    The search's generators generate the whole group; its order is the
-    product of the basic orbit lengths of a Schreier–Sims stabilizer chain
-    built from them, so the group is never listed.
+    The product the canonical search builds along its first path: the
+    length of the first child's orbit at each node on it, times |C|! for
+    each cell of the uniform node it may end at (see the module docstring
+    for why that is the whole group).  The group is never listed.
     """
-    return _group_order(g.n, automorphism_generators(g))
-
-
-def _group_order(n: int, gens: list[tuple[int, ...]]) -> int:
-    """Order of the permutation group on range(n) generated by gens.
-
-    Knuth's incremental Schreier–Sims ("Efficient representation of perm
-    groups", Combinatorica 11, 1991), with base 0, 1, ..., n-1.  Level k
-    holds generators strong[k] of G_k, the stabilizer of 0..k-1, and
-    coset representatives reps[k][j] mapping k to j, so that
-    |G| = prod_k |reps[k]|.  Permutations compose left to right:
-    (a*b)[x] = b[a[x]].  Work items run from a stack: ("add", k, t) puts t
-    into G_k unless it already sifts through levels k.., and ("rep", k, t)
-    gives t's coset a representative or sifts the Schreier generator
-    t * reps[k][t[k]]^-1 into level k+1.
-    """
-    identity = tuple(range(n))
-    reps = [{k: (identity, identity)} for k in range(n)]
-    strong: list[list[tuple[int, ...]]] = [[] for _ in range(n)]
-
-    def sifts(k: int, t: tuple[int, ...]) -> bool:
-        for level in range(k, n):
-            j = t[level]
-            if j != level:
-                rep = reps[level].get(j)
-                if rep is None:
-                    return False
-                inv = rep[1]
-                t = tuple(inv[x] for x in t)
-        return True
-
-    work = [("add", 0, gen) for gen in reversed(gens)]
-    while work:
-        kind, k, t = work.pop()
-        if kind == "add":
-            if not sifts(k, t):
-                strong[k].append(t)
-                work += [("rep", k, tuple(t[x] for x in u)) for u, _ in reps[k].values()]
-            continue
-        j = t[k]
-        rep = reps[k].get(j)
-        if rep is None:
-            inv = [0] * n
-            for x, y in enumerate(t):
-                inv[y] = x
-            reps[k][j] = (t, tuple(inv))
-            work += [("rep", k, tuple(s[x] for x in t)) for s in strong[k]]
-        else:
-            residue = tuple(rep[1][x] for x in t)
-            if residue != identity:
-                work.append(("add", k + 1, residue))
-    return prod(len(level) for level in reps)
+    return _CanonicalSearch(g.rows, g.n).run().order
 
 
 def _mask_orbit_reps(num_bits: int, gens: list[tuple[int, ...]]) -> list[int]:
@@ -444,8 +435,9 @@ def nonisomorphic_graphs(n: int) -> tuple[Graph, ...]:
     one representative neighborhood per automorphism orbit, then
     deduplicating by certificate.  Each class is decoded from its
     certificate, so every returned graph is in canonical form.
-    Feasible up to n = 10 or so; the counts 1, 1, 2, 4, 11, 34, 156, 1044,
-    12346 for n = 0..8 make a handy self-check.
+    n = 8 takes about 7 s on a 2-vCPU machine and is the exhaustive search's
+    cap (``EXHAUSTIVE_CAP``); n >= 9 is unmeasured.  The counts 1, 1, 2, 4,
+    11, 34, 156, 1044, 12346 for n = 0..8 make a handy self-check.
     """
     if n < 0:
         raise ParameterError("vertex count must be nonnegative")

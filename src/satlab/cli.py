@@ -119,8 +119,6 @@ def cmd_count(args: argparse.Namespace) -> int:
 
 
 def cmd_search(args: argparse.Namespace) -> int:
-    if args.shards < 1:
-        raise ParameterError("shard count must be positive")
     budget = SearchBudget(time_limit=args.time_limit)
     result = extremal_count(args.n, args.s, _parse_motif(args.motif), args.mode, budget)
     _dump(result.to_json_dict())
@@ -216,7 +214,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--s", type=int, required=True)
     p.add_argument("--motif", required=True)
     p.add_argument("--mode", choices=("min", "max"), default="min")
-    p.add_argument("--shards", type=int, default=1, help="accepted, has no effect")
     p.add_argument("--time-limit", type=float, default=None)
     p.set_defaults(func=cmd_search)
 

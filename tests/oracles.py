@@ -3,17 +3,19 @@
 Everything here works from edge/vertex lists with itertools, deliberately
 sharing no algorithmic machinery with the package: subset enumeration for
 counts, definition-chasing for saturation, permutation search for
-isomorphism.  Slow on purpose.  The three exceptions are former package
+isomorphism.  Slow on purpose.  The four exceptions are former package
 code, kept as references their replacements must reproduce exactly:
 ``reference_refine``, the all-cells refinement,
-``reference_triangle_key``, the leaf key built one bit at a time, and
-``reference_saturation_report``, one clique search per non-edge.
+``reference_triangle_key``, the leaf key built one bit at a time,
+``reference_saturation_report``, one clique search per non-edge, and
+``schreier_sims_order``, the group order from the search's generators.
 """
 
 from __future__ import annotations
 
 import random
 from itertools import combinations, count, permutations
+from math import prod
 
 from satlab import Graph, contains_clique, creates_clique_on_addition
 
@@ -207,6 +209,57 @@ def reference_triangle_key(rows: tuple[int, ...], lab: list[int]) -> int:
             bits = (bits << 1) | ((col >> v) & 1)
         key = (key << j) | bits
     return key
+
+
+def schreier_sims_order(n: int, gens: list[tuple[int, ...]]) -> int:
+    """Order of the permutation group on range(n) generated by gens.
+
+    Knuth's incremental Schreier–Sims ("Efficient representation of perm
+    groups", Combinatorica 11, 1991), with base 0, 1, ..., n-1.  Level k
+    holds generators strong[k] of G_k, the stabilizer of 0..k-1, and
+    coset representatives reps[k][j] mapping k to j, so that
+    |G| = prod_k |reps[k]|.  Permutations compose left to right:
+    (a*b)[x] = b[a[x]].  Work items run from a stack: ("add", k, t) puts t
+    into G_k unless it already sifts through levels k.., and ("rep", k, t)
+    gives t's coset a representative or sifts the Schreier generator
+    t * reps[k][t[k]]^-1 into level k+1.
+    """
+    identity = tuple(range(n))
+    reps = [{k: (identity, identity)} for k in range(n)]
+    strong: list[list[tuple[int, ...]]] = [[] for _ in range(n)]
+
+    def sifts(k: int, t: tuple[int, ...]) -> bool:
+        for level in range(k, n):
+            j = t[level]
+            if j != level:
+                rep = reps[level].get(j)
+                if rep is None:
+                    return False
+                inv = rep[1]
+                t = tuple(inv[x] for x in t)
+        return True
+
+    work = [("add", 0, gen) for gen in reversed(gens)]
+    while work:
+        kind, k, t = work.pop()
+        if kind == "add":
+            if not sifts(k, t):
+                strong[k].append(t)
+                work += [("rep", k, tuple(t[x] for x in u)) for u, _ in reps[k].values()]
+            continue
+        j = t[k]
+        rep = reps[k].get(j)
+        if rep is None:
+            inv = [0] * n
+            for x, y in enumerate(t):
+                inv[y] = x
+            reps[k][j] = (t, tuple(inv))
+            work += [("rep", k, tuple(s[x] for x in t)) for s in strong[k]]
+        else:
+            residue = tuple(rep[1][x] for x in t)
+            if residue != identity:
+                work.append(("add", k + 1, residue))
+    return prod(len(level) for level in reps)
 
 
 def random_permutation(n: int, seed: int) -> list[int]:

@@ -1,7 +1,7 @@
 import hashlib
 import random
 from itertools import permutations
-from math import factorial
+from math import comb, factorial
 
 import networkx as nx
 import pytest
@@ -188,6 +188,14 @@ def test_nonisomorphic_graph_counts():
         assert len(nonisomorphic_graphs(n)) == expected
 
 
+def test_class_orbit_sizes_count_every_labeled_graph():
+    # a class with automorphism group A has n!/|A| labeled members, so the
+    # orders of all classes on n vertices must account for 2^C(n,2) graphs
+    for n in range(8):
+        total = sum(factorial(n) // automorphism_group_order(g) for g in nonisomorphic_graphs(n))
+        assert total == 2 ** comb(n, 2), n
+
+
 def test_nonisomorphic_graphs_are_canonical_sorted_and_distinct():
     reps = nonisomorphic_graphs(6)
     certs = [canonical_certificate(g) for g in reps]
@@ -248,6 +256,8 @@ UNIFORM_FAMILIES = [Graph.empty, Graph.complete] + [
     lambda n, q=q: make_split(n, q) for q in (1, 2, 3)
 ]
 UNIFORM_IDS = ["empty", "complete", "split1", "split2", "split3"]
+# the clique part of each family (none for empty and complete): |Aut| = q! * (n - q)!
+UNIFORM_QS = [0, 0, 1, 2, 3]
 
 
 def test_canonical_labeling_pinned():
@@ -342,8 +352,8 @@ def test_refine_skipping_last_pieces_matches_reference_on_multiway_splits(seed):
 
 
 @pytest.mark.parametrize("n", [128, 512])
-@pytest.mark.parametrize("family", UNIFORM_FAMILIES, ids=UNIFORM_IDS)
-def test_uniform_partitions_settle_at_first_leaf(family, n):
+@pytest.mark.parametrize("family,q", zip(UNIFORM_FAMILIES, UNIFORM_QS), ids=UNIFORM_IDS)
+def test_uniform_partitions_settle_at_first_leaf(family, q, n):
     # the search settles these at the root's first leaf, so n = 512 finishes
     g = family(n)
     cert = canonical_certificate(g)
@@ -353,9 +363,10 @@ def test_uniform_partitions_settle_at_first_leaf(family, n):
     assert len(gens) <= n - 1
     for gen in gens[:: max(1, len(gens) // 16)]:
         assert g.relabel(list(gen)) == g
+    assert automorphism_group_order(g) == factorial(q) * factorial(n - q)
 
 
-@pytest.mark.parametrize("family,q", zip(UNIFORM_FAMILIES, [0, 0, 1, 2, 3]), ids=UNIFORM_IDS)
+@pytest.mark.parametrize("family,q", zip(UNIFORM_FAMILIES, UNIFORM_QS), ids=UNIFORM_IDS)
 def test_uniform_partition_group_orders(family, q):
     # the transpositions inside each cell generate the whole group:
     # S_n, or S_q x S_{n-q} for the split graphs
@@ -366,9 +377,15 @@ def test_uniform_partition_group_orders(family, q):
 
 @pytest.mark.parametrize("n", [64, 96])
 @pytest.mark.parametrize(
-    "family", [perfect_matching, disjoint_triangles], ids=["matching", "triangles"]
+    "family,order",
+    [
+        # S_2 wr S_{n/2}, and S_3 wr S_{n/3} (a leftover vertex adds nothing)
+        (perfect_matching, lambda n: 2 ** (n // 2) * factorial(n // 2)),
+        (disjoint_triangles, lambda n: 6 ** (n // 3) * factorial(n // 3)),
+    ],
+    ids=["matching", "triangles"],
 )
-def test_regular_non_uniform_graphs_certify(family, n):
+def test_regular_non_uniform_graphs_certify(family, order, n):
     # regular graphs whose root cell is neither a clique nor a coclique, so
     # the uniform shortcut does not settle them at the root
     g = family(n)
@@ -377,9 +394,10 @@ def test_regular_non_uniform_graphs_certify(family, n):
     assert cert.data == networkx_canonical_graph6(g)
     for gen in automorphism_generators(g):
         assert g.relabel(list(gen)) == g
+    assert automorphism_group_order(g) == order(n)
 
 
 def test_perfect_matching_group_orders():
     # S_2 wr S_{n/2}: swap inside each edge, permute the edges
-    for n in range(2, 11, 2):
+    for n in [*range(2, 11, 2), 128]:
         assert automorphism_group_order(perfect_matching(n)) == 2 ** (n // 2) * factorial(n // 2), n

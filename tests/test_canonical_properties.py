@@ -1,12 +1,12 @@
-"""Property tests of canonical certificates on Hypothesis-drawn graphs.
+"""Property tests of canonical certificates and group orders on Hypothesis-drawn graphs.
 
 Derandomized, so every run draws the same examples.
 """
 
 from hypothesis import given, strategies as st
 
-from satlab import Graph, canonical_certificate
-from oracles import brute_certificate
+from satlab import Graph, automorphism_generators, automorphism_group_order, canonical_certificate
+from oracles import brute_certificate, schreier_sims_order
 from strategies import PROPERTY, graphs
 
 
@@ -16,6 +16,14 @@ def test_certificate_invariant_under_relabeling(data):
     g = data.draw(graphs(9))
     perm = data.draw(st.permutations(range(g.n)))
     assert canonical_certificate(g.relabel(perm)) == canonical_certificate(g)
+
+
+@PROPERTY
+@given(st.data())
+def test_group_order_matches_schreier_sims_on_generators(data):
+    g = data.draw(graphs(9))
+    g = g.relabel(data.draw(st.permutations(range(g.n))))
+    assert automorphism_group_order(g) == schreier_sims_order(g.n, automorphism_generators(g))
 
 
 @PROPERTY
