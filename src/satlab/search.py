@@ -5,7 +5,9 @@ keeps the K_s-saturated ones, and scans a motif count over them in
 certificate order.  Beyond the exhaustive cap, ``random_saturated`` samples
 maximal K_s-free graphs by seeded greedy completion and
 ``probe_conjecture`` compares sampled minima against the split-graph
-count.
+count.  The completion visits the pairs in ``random.Random(seed).shuffle``
+order of the lexicographic pair list, drawn inline as CPython's ``shuffle``
+draws it; two digests in the tests pin the sampled rows.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ import random
 import time
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import combinations
 from typing import Iterable, Iterator
 
 from .canonical import CanonicalCertificate, nonisomorphic_graphs
@@ -117,13 +120,34 @@ def extremal_count(
     )
 
 
+def _shuffled_pairs(n: int, seed: int) -> list[tuple[int, int]]:
+    """The pairs u < v of range(n), in ``random.Random(seed).shuffle`` order.
+
+    Fisher–Yates with the draws CPython's ``shuffle`` makes through
+    ``_randbelow_with_getrandbits`` (3.10 and 3.11): for each i from the
+    last index down to 1, ``getrandbits((i + 1).bit_length())`` until the
+    draw is at most i.  Made here without ``shuffle``'s call per draw.
+    """
+    pairs = list(combinations(range(n), 2))
+    getrandbits = random.Random(seed).getrandbits
+    for i in range(len(pairs) - 1, 0, -1):
+        k = (i + 1).bit_length()
+        j = getrandbits(k)
+        while j > i:
+            j = getrandbits(k)
+        pairs[i], pairs[j] = pairs[j], pairs[i]
+    return pairs
+
+
 def random_saturated(n: int, s: int, seed: int) -> Graph:
     """A maximal K_s-free (hence K_s-saturated) graph by greedy completion.
 
-    Visits all vertex pairs in a seed-determined random order and inserts
-    each edge unless its insertion would complete an s-clique, i.e. unless
-    the current common neighborhood of the endpoints contains K_{s-2}.
-    Deterministic for a given seed.
+    Visits all vertex pairs in ``random.Random(seed).shuffle`` order of the
+    lexicographic pair list, drawn as CPython's ``shuffle`` draws it, and
+    inserts each edge unless its insertion would complete an s-clique, i.e.
+    unless the current common neighborhood of the endpoints contains
+    K_{s-2}.  Deterministic for a given seed; two digests in the tests pin
+    the rows, and a test pins the order against ``shuffle`` itself.
     """
     if n < 1:
         raise ParameterError("vertex count must be positive")
@@ -131,11 +155,10 @@ def random_saturated(n: int, s: int, seed: int) -> Graph:
         raise ParameterError(f"vertex count {n} exceeds {MAX_VERTICES}")
     if s < 3:
         raise ParameterError("clique order must be at least 3")
-    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
-    random.Random(seed).shuffle(pairs)
     rows = [0] * n
-    for u, v in pairs:
-        if not _has_clique(rows, rows[u] & rows[v], s - 2):
+    for u, v in _shuffled_pairs(n, seed):
+        cand = rows[u] & rows[v]
+        if not cand or not _has_clique(rows, cand, s - 2):
             rows[u] |= 1 << v
             rows[v] |= 1 << u
     return Graph._unchecked(n, rows)

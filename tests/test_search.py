@@ -1,4 +1,7 @@
-from itertools import permutations
+import hashlib
+import json
+import random
+from itertools import combinations, permutations
 
 import pytest
 
@@ -22,6 +25,7 @@ from satlab import (
     random_saturated,
     sat_edges_formula,
 )
+from satlab.search import _shuffled_pairs
 from oracles import (
     all_labeled_graphs,
     brute_certificate,
@@ -217,6 +221,36 @@ class TestRandomSaturated:
         # checked before the C(n,2) pairs are built and shuffled
         with pytest.raises(ParameterError, match="513 exceeds 512"):
             random_saturated(MAX_VERTICES + 1, 3, 1)
+
+    @pytest.mark.parametrize("seed", [0, 1, -17, 2**31 - 1, 2**40 + 3, 2**70, "seed", b"seed"], ids=repr)
+    def test_pair_order_is_random_shuffle(self, seed):
+        # the inline Fisher-Yates makes shuffle's own draws; if a Python
+        # release changes them, this fails before the row digests do
+        for n in [*range(71), 128, 512]:
+            pairs = list(combinations(range(n), 2))
+            random.Random(seed).shuffle(pairs)
+            assert _shuffled_pairs(n, seed) == pairs
+
+    def test_rows_pinned_on_probe_and_large_seeds(self):
+        # seeds test_sampler_and_reports_pinned does not reach: the benchmark
+        # probe's draws, probe_conjecture's seed formula, negative, > 2^32 and
+        # str seeds, and n up to 512
+        rng = random.Random(1)
+        probe_seeds = [rng.randrange(2**31) for _ in range(3)]
+        odd_seeds = [-17, 2**40 + 3, "seed"]
+        cases = []
+        for n in (17, 32, 48, 64):
+            conjecture_seeds = [seed * 1_000_003 + n * 1_009 + i for seed in (1, 7) for i in (0, 1)]
+            cases += [(n, s, seed) for s in (3, 4, 5) for seed in probe_seeds + conjecture_seeds + odd_seeds]
+        cases += [(n, s, seed) for n in (128, 256) for s in (3, 4, 5) for seed in odd_seeds]
+        cases.append((512, 3, probe_seeds[0]))
+        records = [
+            json.dumps([n, s, repr(seed), random_saturated(n, s, seed).rows]).encode() + b"\n"
+            for n, s, seed in cases
+        ]
+        assert hashlib.sha256(b"".join(records)).hexdigest() == (
+            "df380b80c4d60d6f60895e55afa6f64b0a008467b2821671cd85b744042f06f4"
+        )
 
 
 class TestProbeConjecture:
