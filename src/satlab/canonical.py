@@ -75,13 +75,16 @@ cut a sibling of c in c's orbit.
 A leaf's key is its upper triangle as a '0'/'1' string
 (``graphs._triangle_bits``), read from row strings the search formats once,
 so keys of one search have equal length and compare as strings: the
-comparison stops at the first differing byte.  The prefix prune reads the
-best key's leading characters: when a node's first t cells are singletons,
-every leaf below starts with those t labels, whose key is the first C(t,2)
-characters of the column-major leaf key, and a branch whose prefix key
-exceeds ``best_key[:C(t,2)]`` is cut.  A certificate is the best key packed
-as graph6 bytes, the graph6 of the canonical form made without relabeling,
-so it decodes back to a concrete representative and sorts in a stable,
+comparison stops at the first differing byte.  The row strings share one
+length, so with the leaf's rows joined in label order each column of the
+key is one strided slice (x_{lab[i],lab[j]} = x_{lab[j],lab[i]}), with no
+Python loop per bit.  The prefix prune reads the best key's leading
+characters: when a node's first t cells are singletons, every leaf below
+starts with those t labels, whose key is the first C(t,2) characters of the
+column-major leaf key, and a branch whose prefix key exceeds
+``best_key[:C(t,2)]`` is cut.  A certificate is the best key packed as
+graph6 bytes, the graph6 of the canonical form made without relabeling, so
+it decodes back to a concrete representative and sorts in a stable,
 platform-free way.
 """
 

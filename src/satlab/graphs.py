@@ -13,9 +13,16 @@ each group offset by 63 into printable ASCII.  Both directions go through
 order: ``_pack_graph6`` packs the payload bits, given as a '0'/'1' string,
 and ``from_graph6`` is its exact inverse.  The canonical search builds
 those strings for each candidate labeling: ``_row_strings`` formats every
-row once as a '0'/'1' string indexed by vertex, and ``_triangle_bits``
-reads the relabeled upper triangle from them in payload order.  This module
-keeps all knowledge of that bit order.
+row once as a '0'/'1' string indexed by vertex, all of one length, and
+``_triangle_bits`` reads the relabeled upper triangle from them in payload
+order.  Neither those keys nor the decoder loops over bits in Python.  By
+symmetry, column j of the triangle relabeled by lab, x_{lab[i],lab[j]} for
+i < j, is character lab[j] of the rows lab[0..j-1]: joined in label order
+into one string, those rows yield the column as a single slice stepping by
+the row length.  The decoder's ``_triangle_rows`` zero-fills each column
+to n characters and joins them, so the upper half of row v, x_{v,u} for
+u > v, is one slice stepping by n.  This module keeps all knowledge of
+that bit order.
 
 ``Graph(n, rows)`` validates every row: no bits outside 0..n-1, no loops,
 symmetric adjacency.  ``Graph._unchecked(n, rows)`` checks only n against
@@ -38,9 +45,13 @@ from .errors import Graph6Error, ParameterError
 MAX_VERTICES = 512
 
 
-def _check_shape(n: int, rows: tuple[int, ...]) -> None:
+def _check_vertex_count(n: int) -> None:
     if not 0 <= n <= MAX_VERTICES:
         raise ParameterError(f"vertex count {n} outside 0..{MAX_VERTICES}")
+
+
+def _check_shape(n: int, rows: tuple[int, ...]) -> None:
+    _check_vertex_count(n)
     if len(rows) != n:
         raise ParameterError(f"expected {n} adjacency rows, got {len(rows)}")
 
@@ -87,17 +98,23 @@ class Graph:
 
     # -- construction -----------------------------------------------------
 
+    # each constructor checks n before it builds n rows: a negative n would
+    # otherwise fail on a negative shift, and one past the cap allocate first
+
     @classmethod
     def empty(cls, n: int) -> "Graph":
+        _check_vertex_count(n)
         return cls(n, (0,) * n)
 
     @classmethod
     def complete(cls, n: int) -> "Graph":
+        _check_vertex_count(n)
         full = (1 << n) - 1
         return cls(n, tuple(full ^ (1 << v) for v in range(n)))
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
+        _check_vertex_count(n)
         rows = [0] * n
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
@@ -250,7 +267,8 @@ def _decode_size(data: bytes) -> tuple[int, int]:
 def _row_strings(n: int, rows: tuple[int, ...]) -> list[str]:
     """Each row as a '0'/'1' string indexed by vertex: s[u] is '1' exactly when uv is an edge.
 
-    Characters past position n - 1 are padding and are never read.
+    Every string has length n + 3: n bits, then the padding "1b0", which
+    is never read as a bit but sets the stride ``_triangle_bits`` steps by.
     """
     # bin() of row | 1 << n, reversed, is n bits from bit 0 up, then "1b0"
     pad = 1 << n
@@ -263,9 +281,30 @@ def _triangle_bits(row_strings: list[str], lab: list[int]) -> str:
     A '0'/'1' string in graph6 payload order, column-major with x_{0,1}
     first, so a smaller string (of equal length) is a lexicographically
     smaller encoding and the bits of a label prefix lab[:t] are the leading
-    C(t,2) characters.  Column j reads row lab[j] at the labels lab[:j].
+    C(t,2) characters.  Column j holds x_{lab[i],lab[j]} for i < j, which by
+    symmetry is character lab[j] of row lab[i]: with the rows of lab joined
+    in label order into one string of equal-length rows, that column is
+    one slice stepping by the row length.
     """
-    return "".join([row[u] for j, row in enumerate(map(row_strings.__getitem__, lab)) for u in lab[:j]])
+    if not lab:
+        return ""
+    q = "".join(map(row_strings.__getitem__, lab))
+    step = len(row_strings[lab[0]])
+    return "".join([q[v : v + j * step : step] for j, v in enumerate(lab)])
+
+
+def _triangle_rows(n: int, bits: str) -> list[int]:
+    """Adjacency rows of the n-vertex graph whose upper triangle is bits (payload order).
+
+    The inverse of ``_triangle_bits`` on the identity labeling.
+    """
+    # column j, x_{0,j} first, holds the low j bits of rows[j] in reverse.
+    # Zero-filled to n characters, the columns joined make mat, with x_{u,v}
+    # at mat[v*n + u] for u < v and zeros on and below the diagonal; row v
+    # is its own column up to the diagonal, then x_{v,u} for u > v, which
+    # is character v of every later column: one slice stepping by n
+    mat = "".join([bits[j * (j - 1) // 2 : j * (j + 1) // 2].ljust(n, "0") for j in range(n)])
+    return [int((mat[v * n : v * n + v + 1] + mat[v * n + n + v :: n])[::-1], 2) for v in range(n)]
 
 
 # base64 cuts bytes into 6-bit groups most significant first, as graph6 does,
@@ -324,10 +363,4 @@ def from_graph6(data: bytes | str) -> Graph:
     body = int.from_bytes(binascii.a2b_base64(b64), "big")
     if body & ((1 << slack) - 1):
         raise Graph6Error("nonzero padding bits", len(data) - 1)
-    # column j, x_{0,j} first, holds the low j bits of rows[j] in reverse;
-    # zero-filled to n and transposed, the columns give each row's upper half
-    bits = format(body >> slack, f"0{nbits}b")
-    cols = [bits[j * (j - 1) // 2 : j * (j + 1) // 2] for j in range(n)]
-    uppers = zip(*[col.ljust(n, "0") for col in cols])
-    rows = [int((col + "".join(up)[v:])[::-1], 2) for v, (col, up) in enumerate(zip(cols, uppers))]
-    return Graph._unchecked(n, rows)
+    return Graph._unchecked(n, _triangle_rows(n, format(body >> slack, f"0{nbits}b")))

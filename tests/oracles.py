@@ -211,6 +211,27 @@ def reference_triangle_key(rows: tuple[int, ...], lab: list[int]) -> int:
     return key
 
 
+def reference_triangle_bits(row_strings: list[str], lab: list[int]) -> str:
+    """The package's ``_triangle_bits`` as it was before it read columns as strided slices.
+
+    One character per bit: column j reads row lab[j] at the labels lab[:j].
+    """
+    return "".join([row[u] for j, row in enumerate(map(row_strings.__getitem__, lab)) for u in lab[:j]])
+
+
+def reference_triangle_rows(n: int, bits: str) -> list[int]:
+    """The rows ``from_graph6`` built from the payload bits before the strided transpose.
+
+    Zips the zero-filled columns into n tuples of n characters.
+    """
+    # column j, x_{0,j} first, holds the low j bits of rows[j] in reverse;
+    # zero-filled to n and transposed, the columns give each row's upper half
+    cols = [bits[j * (j - 1) // 2 : j * (j + 1) // 2] for j in range(n)]
+    uppers = zip(*[col.ljust(n, "0") for col in cols])
+    rows = [int((col + "".join(up)[v:])[::-1], 2) for v, (col, up) in enumerate(zip(cols, uppers))]
+    return rows
+
+
 def schreier_sims_order(n: int, gens: list[tuple[int, ...]]) -> int:
     """Order of the permutation group on range(n) generated by gens.
 

@@ -53,6 +53,12 @@ class TestConstruct:
         assert code == 2
         assert err
 
+    # exit 1 would claim an asserted verification row failed
+    def test_negative_complete_is_input_error(self, capsys):
+        code, out, err = run(capsys, ["construct", "--complete", "-1"])
+        assert (code, out) == (2, "")
+        assert err.startswith("input error: vertex count -1 outside 0..512")
+
 
 class TestCheck:
     def test_saturated_split_exits_zero(self, capsys, monkeypatch):

@@ -17,8 +17,15 @@ from satlab import (
     random_saturated,
     to_graph6,
 )
-from satlab.graphs import _row_strings, _triangle_bits
-from oracles import all_labeled_graphs, random_graph, random_permutation, reference_triangle_key
+from satlab.graphs import _row_strings, _triangle_bits, _triangle_rows
+from oracles import (
+    all_labeled_graphs,
+    random_graph,
+    random_permutation,
+    reference_triangle_bits,
+    reference_triangle_key,
+    reference_triangle_rows,
+)
 
 
 class TestGraphType:
@@ -37,6 +44,14 @@ class TestGraphType:
     def test_rejects_oversize(self):
         with pytest.raises(ParameterError):
             Graph.empty(513)
+
+    # the vertex count is checked before any row is built: -1 used to fail
+    # on a negative shift in complete
+    @pytest.mark.parametrize("n", [-1, 513])
+    @pytest.mark.parametrize("build", [Graph.empty, Graph.complete, lambda n: Graph.from_edges(n, [])])
+    def test_constructors_reject_vertex_count_outside_cap(self, build, n):
+        with pytest.raises(ParameterError, match=f"vertex count {n} outside 0..512"):
+            build(n)
 
     def test_degree_and_edge_count(self):
         g = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
@@ -335,3 +350,37 @@ class TestTriangleBits:
                         prefix = _triangle_bits(strings, lab[:t])
                         assert prefix == bits[: t * (t - 1) // 2]
                         assert int(prefix or "0", 2) == reference_triangle_key(g.rows, lab[:t])
+
+
+STRIDE_SIZES = [0, 1, 2, 3, 5, 8, 31, 62, 63, 64, 100, 128, 512]
+
+
+class TestTriangleStrides:
+    """The strided-slice readers of the triangle against the per-character ones they replaced."""
+
+    @pytest.mark.parametrize("n", STRIDE_SIZES)
+    def test_row_strings_share_one_length(self, n):
+        g = random_graph(n, 7100 + n, p=0.3)
+        assert {len(row) for row in _row_strings(n, g.rows)} <= {n + 3}
+
+    @pytest.mark.parametrize("n", STRIDE_SIZES)
+    def test_triangle_bits_match_per_bit_reference(self, n):
+        rng = random.Random(7200 + n)
+        for p in (0.1, 0.5, 0.9):
+            g = random_graph(n, rng.randrange(10**6), p=p)
+            strings = _row_strings(n, g.rows)
+            for lab in (list(range(n)), random_permutation(n, rng.randrange(10**6))):
+                for t in {0, 1, 2, n // 2, n - 1, n}:
+                    if 0 <= t <= n:
+                        assert _triangle_bits(strings, lab[:t]) == reference_triangle_bits(strings, lab[:t])
+
+    @pytest.mark.parametrize("n", STRIDE_SIZES)
+    def test_triangle_rows_match_zip_transpose(self, n):
+        rng = random.Random(7300 + n)
+        nbits = n * (n - 1) // 2
+        for p in (0.1, 0.5, 0.9):
+            bits = "".join("1" if rng.random() < p else "0" for _ in range(nbits))
+            assert _triangle_rows(n, bits) == reference_triangle_rows(n, bits)
+        # and the two strided readers invert each other on the identity labeling
+        g = random_graph(n, rng.randrange(10**6))
+        assert _triangle_rows(n, _triangle_bits(_row_strings(n, g.rows), list(range(n)))) == list(g.rows)
