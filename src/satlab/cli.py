@@ -20,7 +20,7 @@ import sys
 from . import formulas
 from .canonical import canonical_certificate
 from .counting import MotifSpec, count_matchings, count_motif
-from .errors import BudgetError, Graph6Error, ParameterError, SatlabError
+from .errors import BudgetError, Graph6Error, ParameterError
 from .graphs import Graph, from_graph6, make_split, to_graph6
 from .saturation import check_saturation
 from .search import SearchBudget, extremal_count
@@ -237,11 +237,8 @@ def main(argv: list[str] | None = None) -> int:
     except BudgetError as exc:
         print(f"budget error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except (Graph6Error, ParameterError) as exc:
+    except ParameterError as exc:
         print(f"input error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except SatlabError as exc:
-        print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 
 

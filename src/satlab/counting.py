@@ -83,14 +83,7 @@ def _count_matchings_dp(g: Graph, k: int) -> int:
     perm = [0] * n
     for pos, v in enumerate(order):
         perm[v] = pos
-    rows = [0] * n
-    for v, row in enumerate(g.rows):
-        nv = perm[v]
-        r = row
-        while r:
-            low = r & -r
-            rows[nv] |= 1 << perm[low.bit_length() - 1]
-            r ^= low
+    rows = g.relabel(perm).rows
 
     memo: dict[int, int] = {}
 

@@ -19,7 +19,7 @@ from satlab import (
     nonisomorphic_graphs,
     to_graph6,
 )
-from satlab.canonical import _refine, canonical_labeling
+from satlab.canonical import _CanonicalSearch, _refine, canonical_labeling
 from oracles import (
     all_labeled_graphs,
     brute_automorphism_count,
@@ -186,6 +186,27 @@ def test_nonisomorphic_graph_counts():
     known = {0: 1, 1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156, 7: 1044}
     for n, expected in known.items():
         assert len(nonisomorphic_graphs(n)) == expected
+
+
+def test_nonisomorphic_graphs_search_counts(monkeypatch):
+    # canonical searches run by a cold enumeration, all levels up to n: one
+    # per kept extension, none to pick the extensions
+    searches = 0
+    run = _CanonicalSearch.run
+
+    def counting_run(self):
+        nonlocal searches
+        searches += 1
+        return run(self)
+
+    monkeypatch.setattr(_CanonicalSearch, "run", counting_run)
+    counts = {}
+    for n in range(1, 8):
+        nonisomorphic_graphs.cache_clear()
+        searches = 0
+        nonisomorphic_graphs(n)
+        counts[n] = searches
+    assert counts == {1: 1, 2: 3, 3: 8, 4: 24, 5: 94, 6: 442, 7: 3132}
 
 
 def test_class_orbit_sizes_count_every_labeled_graph():

@@ -159,7 +159,7 @@ class TestExtremalCount:
             extremal_count(7, 3, M2, "min", SearchBudget(time_limit=1e-9))
 
     def test_time_limit_covers_enumeration(self):
-        # a cold n = 7 enumeration alone takes most of a second
+        # a cold n = 7 enumeration alone takes 0.14-0.19 s on 2 vCPUs
         nonisomorphic_graphs.cache_clear()
         with pytest.raises(BudgetError):
             extremal_count(7, 3, M2, "min", SearchBudget(time_limit=0.05))
