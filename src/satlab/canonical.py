@@ -27,26 +27,38 @@ isomorphism"; McKay & Piperno 2014) and bliss (Junttila & Kaski 2007):
   its second child; each new automorphism is merged into the nodes whose
   prefix it fixes.  A branch target that is not the minimum of its orbit
   is equivalent to one already explored and is skipped.
-* A node whose partition is uniform (every cell a clique or a coclique of
-  twins, so each pair of cells is fully joined or not at all) is settled at
-  its first leaf: every permutation keeping the cells in place is an
-  automorphism, so all leaves below share one key.  Unless that leaf jumps
-  back, the adjacent transpositions inside each cell are added as
-  generators.  This settles the empty and complete graphs and the split
-  graphs S_{n,q} at the root.
+* A node is settled at its first leaf when every non-singleton cell is a
+  module of equal cliques (compare component recursion in Junttila & Kaski
+  2011, and modules in McConnell & Spinrad 1999): it induces t disjoint
+  cliques K_c, or their complement, the complete multipartite graph with t
+  parts of size c, and all its vertices have the same neighbours outside
+  it.  In the equitable partition each pair of cells is then fully joined
+  or not at all, so the automorphisms fixing the node's prefix are exactly
+  the permutations that keep each cell in place and map its blocks (the
+  cliques or the parts) onto blocks: S_c wr S_t on each cell.  That group
+  carries any leaf below to any other, as individualizing a vertex and
+  refining leaves a partition of the same kind, so all leaves below share
+  one key.  The leaf taken is the search's own first one, written out
+  block by block, so certificates and labelings are those of the full
+  search.  Unless it jumps back, the adjacent transpositions inside each
+  block and one swap of each pair of neighbouring blocks (the i-th vertex
+  of one with the i-th of the other) are added as generators.  Twins are
+  the case c = 1 or t = 1: this settles the empty and complete graphs and
+  the split graphs S_{n,q} at the root, and the perfect matching, disjoint
+  cliques and the cocktail party graph too.
 
 None of this changes which leaf is best, only how many are visited.
 
 The automorphism group's order is read off the first path, the one to the
 first leaf, as in nauty.  A node is on it exactly when no leaf exists as it
 starts.  When such a node with prefix P finishes, ``order`` gains the
-length of its first child c's orbit in its union-find; where the path ends,
-a uniform node gives the product of |C|! over its cells (a discrete leaf
-gives 1).  With Aut_P the automorphisms fixing P pointwise, orbit and
-stabilizer give |Aut_P| = |c^Aut_P| * |Aut_{P,c}|, so the product is |Aut|
-once each of those union-finds holds the orbits of all of Aut_P.  That
-holds, but by way of the best path, not the first: the prefix prune can
-cut a sibling of c in c's orbit.
+length of its first child x's orbit in its union-find; where the path ends,
+a settled node gives the product over its cells of (c!)^t * t!, the order
+of S_c wr S_t (a discrete leaf gives 1).  With Aut_P the automorphisms
+fixing P pointwise, orbit and stabilizer give |Aut_P| = |x^Aut_P| *
+|Aut_{P,x}|, so the product is |Aut| once each of those union-finds holds
+the orbits of all of Aut_P.  That holds, but by way of the best path, not
+the first: the prefix prune can cut a sibling of x in x's orbit.
 
 * When a first-path node starts, no leaf exists outside its subtree, so no
   jump leaves the subtree and every generator found in it fixes P: it is a
@@ -70,7 +82,7 @@ cut a sibling of c in c's orbit.
 * By induction up the chain, the generators found that fix Q include
   generators of Aut_{Q,b} and a transversal of b's orbit, so they generate
   Aut_Q.  The chain ends at a discrete leaf, where Aut_Q is trivial, or at
-  a uniform node, whose transpositions generate Aut_Q.
+  a settled node, whose transpositions and block swaps generate Aut_Q.
 
 A leaf's key is its upper triangle as a '0'/'1' string
 (``graphs._triangle_bits``), read from row strings the search formats once,
@@ -93,6 +105,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from math import factorial
+from typing import Iterable
 
 from .errors import ParameterError
 from .graphs import Graph, _pack_graph6, _row_strings, _triangle_bits, from_graph6
@@ -172,24 +185,66 @@ def _refine(
     return cells
 
 
-def _uniform(rows: tuple[int, ...], cells: list[list[int]]) -> bool:
-    """Whether every cell is a clique or a coclique of twins.
+def _blocks(rows: tuple[int, ...], cell: list[int]) -> tuple[list[list[int]], list[int]] | None:
+    """A cell's blocks and first-leaf order, if it is a module of equal cliques.
 
-    Then each pair of cells is fully joined or not joined at all, so every
-    permutation that keeps each cell in place is an automorphism.  A clique
-    cell's vertices share their closed neighborhood, a coclique's their
-    open one.
+    Such a cell of an equitable partition induces t disjoint cliques K_c or
+    their complement, the complete multipartite graph with t parts of size
+    c, and its vertices share their outside neighbours.  The blocks are the
+    cliques or the parts, each ascending, in the order of their first
+    vertices.  Any other cell gives None.
+
+    The first two vertices v, w pick the kind before any mask is built.
+    diff, the difference of their open neighbourhoods if adjacent and of
+    their closed ones if not, holds v and w, and nothing else exactly when
+    they are twins; then they share a block, a clique if adjacent and a
+    part if not.  Otherwise they lie in different parts if adjacent and in
+    different cliques if not, and diff is those two blocks: 2c vertices,
+    with c dividing |C| and t >= 2.  Grouping the cell by closed
+    neighbourhood (cliques) or open neighbourhood (parts) then gives the
+    blocks, and they are t blocks of c exactly when there are |C|/c groups
+    with one outside part (c is read off v: the partition is equitable).  A
+    clique or a coclique is both kinds; it is taken as one block, which
+    gives the same group, generators and first leaf as |C| singletons.
     """
-    for cell in cells:
-        if len(cell) > 1:
-            v = cell[0]
-            if rows[v] >> cell[1] & 1:
-                r = rows[v] | 1 << v
-                if any(rows[w] | 1 << w != r for w in cell):
-                    return False
-            elif any(rows[w] != rows[v] for w in cell):
-                return False
-    return True
+    v, w = cell[0], cell[1]
+    rv, rw = rows[v], rows[w]
+    pair = 1 << v | 1 << w
+    adjacent = rv >> w & 1
+    diff = rv ^ rw if adjacent else rv ^ rw ^ pair
+    if diff == pair:
+        # a clique of closed twins, or a coclique of open ones, is one block
+        if adjacent:
+            r = rv | 1 << v
+            if all(rows[x] | 1 << x == r for x in cell):
+                return [cell], cell
+        elif all(rows[x] == rv for x in cell):
+            return [cell], cell
+        union = adjacent
+    else:
+        union = not adjacent
+        c = diff.bit_count() >> 1
+        if len(cell) % c or 2 * c > len(cell):
+            return None
+    blocks: dict[int, list[int]] = {}
+    for x in cell:
+        blocks.setdefault(rows[x] | 1 << x if union else rows[x], []).append(x)
+    mask = 0
+    for x in cell:
+        mask |= 1 << x
+    inside = (rv & mask).bit_count()
+    c = inside + 1 if union else len(cell) - inside
+    outside = rv & ~mask
+    if len(blocks) * c != len(cell) or any(key & ~mask != outside for key in blocks):
+        return None
+    found = list(blocks.values())
+    if union:
+        # individualizing a clique's first vertex puts the other cliques
+        # before its own rest, so the first vertices lead and the rests
+        # follow in reverse block order
+        return found, [b[0] for b in found] + [x for b in reversed(found) for x in b[1:]]
+    # individualizing a part's first vertex puts its own rest first
+    return found, [x for b in found for x in b]
 
 
 def _find(parent: list[int], x: int) -> int:
@@ -257,11 +312,19 @@ class _CanonicalSearch:
             partial = _triangle_bits(self.row_strings, [cells[i][0] for i in range(branch_at)])
             if partial > self.best_key[: len(partial)]:
                 return None
-        if _uniform(self.rows, cells):
+        modules = []
+        for cell in cells[branch_at:]:
+            if len(cell) > 1:
+                found = _blocks(self.rows, cell)
+                if found is None:
+                    break
+                modules.append(found)
+        else:
             if first:
-                for c in cells:
-                    self.order *= factorial(len(c))
-            return self._uniform_leaf(cells, fixed)
+                # S_c wr S_t on each cell
+                for blocks, _ in modules:
+                    self.order *= factorial(len(blocks[0])) ** len(blocks) * factorial(len(blocks))
+            return self._settle(cells, modules, fixed)
         depth = len(fixed)
         self.orbits.append(None)
         cell = cells[branch_at]
@@ -288,30 +351,50 @@ class _CanonicalSearch:
             self.order *= sum(_find(parent, v) == cell[0] for v in cell)
         return None
 
-    def _uniform_leaf(self, cells: list[list[int]], fixed: list[int]) -> int | None:
-        """Settle a node whose partition is uniform at its first leaf.
+    def _settle(
+        self,
+        cells: list[list[int]],
+        modules: list[tuple[list[list[int]], list[int]]],
+        fixed: list[int],
+    ) -> int | None:
+        """Settle a node whose cells are all modules of equal cliques at its first leaf.
 
-        Every permutation keeping each cell in place is an automorphism that
-        fixes the prefix, so all leaves below share one key and the first
-        (each cell in ascending order) stands for them all.  Unless it jumps
-        back, the adjacent transpositions inside each cell generate the
-        stabilizer of the prefix; they join the orbits of every node on the
-        path.  Later leaves leave this subtree before fixed ends, so fixed
-        serves as the leaf's path.
+        modules holds the blocks and first-leaf order of each non-singleton
+        cell, in cell order.  Every permutation that keeps each cell in place
+        and maps blocks onto blocks is an automorphism fixing the prefix, and
+        it acts transitively on the leaves below, so they share one key and
+        the first stands for them all.  Unless it jumps back, the adjacent
+        transpositions inside each block and the swap of each pair of
+        neighbouring blocks generate the stabilizer of the prefix; they join
+        the orbits of every node on the path.  Later leaves leave this
+        subtree before fixed ends, so fixed serves as the leaf's path.
         """
-        resume = self._leaf([v for cell in cells for v in cell], fixed)
+        lab: list[int] = []
+        orders = iter(modules)
+        for cell in cells:
+            lab += cell if len(cell) == 1 else next(orders)[1]
+        resume = self._leaf(lab, fixed)
         if resume is not None:
             return resume
-        for cell in cells:
-            for a, b in zip(cell, cell[1:]):
-                perm = list(range(self.n))
-                perm[a], perm[b] = b, a
-                gen = tuple(perm)
-                self.generators.append(gen)
-                for parent in self.orbits:
-                    if parent is not None:
-                        _merge(parent, gen)
+        for blocks, _ in modules:
+            for block in blocks:
+                for pair in zip(block, block[1:]):
+                    self._add_generator([pair])
+            for a, b in zip(blocks, blocks[1:]):
+                self._add_generator(zip(a, b))
         return None
+
+    def _add_generator(self, swaps: Iterable[tuple[int, int]]) -> None:
+        """Keep the involution swapping each pair, and join its orbits into
+        every node on the path (each fixes the prefix of all of them)."""
+        perm = list(range(self.n))
+        for a, b in swaps:
+            perm[a], perm[b] = b, a
+        gen = tuple(perm)
+        self.generators.append(gen)
+        for parent in self.orbits:
+            if parent is not None:
+                _merge(parent, gen)
 
     def _stabilizer_orbits(self, fixed: list[int]) -> list[int]:
         parent = list(range(self.n))
@@ -383,10 +466,11 @@ def automorphism_generators(g: Graph) -> list[tuple[int, ...]]:
 
     Each is g[v] = image of v.  One per leaf whose encoding equals the first
     or the best leaf's, after which the search unwinds past the branch it
-    makes redundant; and the adjacent transpositions inside each cell of a
-    node settled by its uniform partition (n - 1 of them for the empty and
-    complete graphs, n - 2 for a split graph).  Together they generate the
-    whole group.
+    makes redundant; and, for each node settled because its cells are
+    modules of equal cliques, the adjacent transpositions inside each block
+    and one swap of each pair of neighbouring blocks (n - 1 for the empty
+    and complete graphs and the perfect matching, n - 2 for a split graph).
+    Together they generate the whole group.
     """
     return _CanonicalSearch(g.rows, g.n).run().generators
 
@@ -395,9 +479,11 @@ def automorphism_group_order(g: Graph) -> int:
     """Order of the automorphism group.
 
     The product the canonical search builds along its first path: the
-    length of the first child's orbit at each node on it, times |C|! for
-    each cell of the uniform node it may end at (see the module docstring
-    for why that is the whole group).  The group is never listed.
+    length of the first child's orbit at each node on it, times (c!)^t * t!
+    for each cell of t blocks of size c of the settled node it may end at
+    (see the module docstring for why that is the whole group).  The
+    perfect matching on 512 vertices, 2^256 * 256!, settles at the root.
+    The group is never listed.
     """
     return _CanonicalSearch(g.rows, g.n).run().order
 

@@ -27,11 +27,12 @@ that bit order.
 ``Graph(n, rows)`` validates every row: no bits outside 0..n-1, no loops,
 symmetric adjacency.  ``Graph._unchecked(n, rows)`` checks only n against
 ``MAX_VERTICES`` and the number of rows.  It is private to satlab and is
-called only where the rows are valid by construction: the graph6 decoder,
-``with_edge`` (after its range check), ``complement``, ``relabel``,
-``make_split``, ``join``, ``search.random_saturated`` and the augmented
-children in ``canonical.nonisomorphic_graphs``.  Rows from anywhere else go
-through ``Graph``.
+called only where the rows are valid by construction: ``empty`` and
+``complete``, the graph6 decoder, ``with_edge`` (after its range check),
+``complement``, ``relabel``, ``make_split``, ``join``,
+``search.random_saturated`` and the augmented children in
+``canonical.nonisomorphic_graphs``.  Rows from anywhere else go through
+``Graph``.
 """
 
 from __future__ import annotations
@@ -104,13 +105,13 @@ class Graph:
     @classmethod
     def empty(cls, n: int) -> "Graph":
         _check_vertex_count(n)
-        return cls(n, (0,) * n)
+        return cls._unchecked(n, (0,) * n)
 
     @classmethod
     def complete(cls, n: int) -> "Graph":
         _check_vertex_count(n)
         full = (1 << n) - 1
-        return cls(n, tuple(full ^ (1 << v) for v in range(n)))
+        return cls._unchecked(n, (full ^ (1 << v) for v in range(n)))
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "Graph":

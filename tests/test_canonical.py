@@ -15,6 +15,7 @@ from satlab import (
     canonical_form,
     certificate_graph,
     from_graph6,
+    join,
     make_split,
     nonisomorphic_graphs,
     to_graph6,
@@ -37,11 +38,26 @@ def perfect_matching(n: int) -> Graph:
     return Graph.from_edges(n, [(2 * i, 2 * i + 1) for i in range(n // 2)])
 
 
-def disjoint_triangles(n: int) -> Graph:
-    """Triangles on consecutive vertices; n mod 3 vertices are left over
+def disjoint_cliques(n: int, c: int) -> Graph:
+    """Cliques K_c on consecutive vertices; n mod c vertices are left over
     as a last, smaller clique."""
-    blocks = [range(base, min(base + 3, n)) for base in range(0, n, 3)]
+    blocks = [range(base, min(base + c, n)) for base in range(0, n, c)]
     return Graph.from_edges(n, [(u, v) for block in blocks for u in block for v in block if u < v])
+
+
+def disjoint_triangles(n: int) -> Graph:
+    return disjoint_cliques(n, 3)
+
+
+def cocktail_party(n: int) -> Graph:
+    """K_{2,...,2}: the complement of the perfect matching."""
+    return perfect_matching(n).complement()
+
+
+def disjoint_cycles(t: int, length: int) -> Graph:
+    return Graph.from_edges(
+        t * length, [(length * b + i, length * b + (i + 1) % length) for b in range(t) for i in range(length)]
+    )
 
 
 def networkx_canonical_graph6(g: Graph) -> bytes:
@@ -396,26 +412,132 @@ def test_uniform_partition_group_orders(family, q):
         assert automorphism_group_order(family(n)) == order, n
 
 
-@pytest.mark.parametrize("n", [64, 96])
+def _clique_union_order(n: int, c: int) -> int:
+    # S_c wr S_t on the t = n // c cliques, times S_r on a leftover clique K_r
+    return factorial(c) ** (n // c) * factorial(n // c) * factorial(n % c)
+
+
 @pytest.mark.parametrize(
-    "family,order",
+    "family,c,n",
     [
-        # S_2 wr S_{n/2}, and S_3 wr S_{n/3} (a leftover vertex adds nothing)
-        (perfect_matching, lambda n: 2 ** (n // 2) * factorial(n // 2)),
-        (disjoint_triangles, lambda n: 6 ** (n // 3) * factorial(n // 3)),
+        pytest.param(family, c, n, id=f"{name}-{n}")
+        for name, family, c, ns in [
+            ("matching", perfect_matching, 2, (64, 96, 128, 512)),
+            ("triangles", disjoint_triangles, 3, (64, 96, 128, 510)),
+            ("k4", lambda n: disjoint_cliques(n, 4), 4, (128, 512)),
+            # the complement of the perfect matching has the same group
+            ("cocktail", cocktail_party, 2, (256,)),
+        ]
+        for n in ns
     ],
-    ids=["matching", "triangles"],
 )
-def test_regular_non_uniform_graphs_certify(family, order, n):
-    # regular graphs whose root cell is neither a clique nor a coclique, so
-    # the uniform shortcut does not settle them at the root
+def test_regular_non_uniform_graphs_certify(family, c, n):
+    # regular graphs whose root cell is neither a clique nor a coclique but
+    # a module of equal cliques, or the complement of one, so the search
+    # settles them at the root; n = 512 used to take seconds
     g = family(n)
     cert = canonical_certificate(g)
     assert canonical_certificate(g.relabel(random_permutation(n, 4500 + n))) == cert
     assert cert.data == networkx_canonical_graph6(g)
+    # Aut(g) = Aut(complement): relabel the sparser one, as relabel walks
+    # every edge
+    sparse = g if 4 * g.edge_count <= n * (n - 1) else g.complement()
     for gen in automorphism_generators(g):
-        assert g.relabel(list(gen)) == g
-    assert automorphism_group_order(g) == order(n)
+        assert sparse.relabel(list(gen)) == sparse
+    assert automorphism_group_order(g) == _clique_union_order(n, c)
+    if family is perfect_matching and n == 512:
+        assert automorphism_group_order(g) == 2**256 * factorial(256)
+
+
+def _count_descends(monkeypatch) -> list[int]:
+    """Patch the search to count its nodes; the count is the list's one item."""
+    calls = [0]
+    descend = _CanonicalSearch._descend
+
+    def counting(self, *args):
+        calls[0] += 1
+        return descend(self, *args)
+
+    monkeypatch.setattr(_CanonicalSearch, "_descend", counting)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "family,n,nodes",
+    [
+        pytest.param(perfect_matching, 16, 1, id="matching-16"),
+        pytest.param(disjoint_triangles, 18, 1, id="triangles-18"),
+        pytest.param(perfect_matching, 128, 1, id="matching-128"),
+        pytest.param(disjoint_triangles, 129, 1, id="triangles-129"),
+        pytest.param(lambda n: disjoint_cliques(n, 4), 128, 1, id="k4-128"),
+        pytest.param(cocktail_party, 128, 1, id="cocktail-128"),
+        # components that are not cliques: no node settles, and the search
+        # walks the tree it always did
+        pytest.param(lambda n: disjoint_cycles(n // 5, 5), 255, 8006, id="c5-255"),
+    ],
+)
+def test_canonical_search_node_counts(monkeypatch, family, n, nodes):
+    g = family(n)
+    calls = _count_descends(monkeypatch)
+    canonical_certificate(g)
+    assert calls[0] == nodes
+
+
+def _refinement_first_leaf(g: Graph) -> list[int]:
+    """The search's first leaf the long way round: individualize the first
+    vertex of the first non-singleton cell and refine, until the partition
+    is discrete."""
+    cells = [list(range(g.n))] if g.n else []
+    cells = _refine(g.rows, cells, cells)
+    while len(cells) < g.n:
+        i = next(i for i, cell in enumerate(cells) if len(cell) > 1)
+        v = cells[i][0]
+        cells = _refine(g.rows, cells[:i] + [[v], cells[i][1:]] + cells[i + 1 :], [[v]])
+    return [cell[0] for cell in cells]
+
+
+# graphs whose root cells are all modules of equal cliques: unions of
+# cliques, complete multipartite graphs, and joins and unions of both with
+# distinct degrees
+MODULE_GRAPHS = {
+    "matching": perfect_matching(10),
+    "triangles": disjoint_cliques(12, 3),
+    "k4": disjoint_cliques(12, 4),
+    "cocktail": cocktail_party(10),
+    "k3333": disjoint_cliques(12, 3).complement(),
+    "k2s-k4s": join(perfect_matching(6).complement(), disjoint_cliques(8, 4).complement()).complement(),
+    "k2s+k33": join(perfect_matching(6), disjoint_cliques(6, 3).complement()),
+    "split": make_split(10, 3),
+    "empty": Graph.empty(5),
+}
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("name", list(MODULE_GRAPHS))
+def test_settled_root_takes_the_refinement_first_leaf(monkeypatch, name, seed):
+    # the search writes the first leaf of a settled node out block by block;
+    # it must be the leaf individualization and refinement reach, which is
+    # the best one when every leaf has the same key
+    g = MODULE_GRAPHS[name]
+    g = g.relabel(random_permutation(g.n, 4700 + 10 * seed + len(name)))
+    calls = _count_descends(monkeypatch)
+    assert list(canonical_labeling(g)) == _refinement_first_leaf(g)
+    assert calls[0] == 1
+
+
+@pytest.mark.parametrize("complement", [False, True], ids=["corona", "complement"])
+def test_cells_that_are_modules_only_inside_are_not_settled(complement):
+    # K_4 with a pendant vertex at each vertex: the root cells are K_4 and
+    # 4 K_1, each a module of equal cliques inside, but every vertex has its
+    # own neighbour outside its cell, so the group is S_4, not S_4 x S_4
+    g = Graph.from_edges(8, [(u, v) for v in range(4) for u in range(v)] + [(v, v + 4) for v in range(4)])
+    if complement:
+        g = g.complement()
+    cert = canonical_certificate(g)
+    for seed in range(4):
+        h = g.relabel(random_permutation(8, 4900 + seed))
+        assert canonical_certificate(h) == cert
+        assert automorphism_group_order(h) == brute_automorphism_count(h) == 24
 
 
 def test_perfect_matching_group_orders():

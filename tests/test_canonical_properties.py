@@ -6,8 +6,8 @@ Derandomized, so every run draws the same examples.
 from hypothesis import given, strategies as st
 
 from satlab import Graph, automorphism_generators, automorphism_group_order, canonical_certificate
-from oracles import brute_certificate, schreier_sims_order
-from strategies import PROPERTY, graphs
+from oracles import brute_automorphism_count, brute_certificate, schreier_sims_order
+from strategies import PROPERTY, graphs, module_graphs
 
 
 @PROPERTY
@@ -40,3 +40,17 @@ def test_certificates_equal_exactly_when_brute_force_tables_equal(data):
     h = Graph.from_edges(g.n, [tuple(e) for e in edges])
     same = canonical_certificate(g) == canonical_certificate(h)
     assert same == (brute_certificate(g) == brute_certificate(h))
+
+
+@PROPERTY
+@given(st.data())
+def test_module_graphs_certify_and_count_automorphisms(data):
+    # joins and unions of equal-clique modules are where the search settles
+    # nodes block by block, at the root or after a few individualizations;
+    # the generators it adds there must generate the whole group
+    g = data.draw(module_graphs(8))
+    h = g.relabel(data.draw(st.permutations(range(g.n))))
+    assert canonical_certificate(h) == canonical_certificate(g)
+    order = brute_automorphism_count(h)
+    assert automorphism_group_order(h) == order
+    assert schreier_sims_order(h.n, automorphism_generators(h)) == order

@@ -53,6 +53,14 @@ class TestGraphType:
         with pytest.raises(ParameterError, match=f"vertex count {n} outside 0..512"):
             build(n)
 
+    # empty and complete skip the row validation, so they must build exactly
+    # the rows the validating constructor accepts
+    @pytest.mark.parametrize("n", [0, 1, 2, 64, 512])
+    def test_empty_and_complete_equal_validated_graphs(self, n):
+        full = (1 << n) - 1
+        assert Graph.complete(n) == Graph(n, tuple(full ^ (1 << v) for v in range(n)))
+        assert Graph.empty(n) == Graph(n, (0,) * n)
+
     def test_degree_and_edge_count(self):
         g = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
         assert [g.degree(v) for v in range(4)] == [1, 2, 2, 1]
