@@ -97,7 +97,9 @@ column-major leaf key, and a branch whose prefix key exceeds
 ``best_key[:C(t,2)]`` is cut.  A certificate is the best key packed as
 graph6 bytes, the graph6 of the canonical form made without relabeling, so
 it decodes back to a concrete representative and sorts in a stable,
-platform-free way.
+platform-free way.  ``canonical_form`` and the classes of
+``nonisomorphic_graphs`` decode the best key itself with
+``graphs._triangle_rows``; keys of one length sort as their certificates.
 """
 
 from __future__ import annotations
@@ -108,7 +110,7 @@ from math import factorial
 from typing import Iterable
 
 from .errors import ParameterError
-from .graphs import Graph, _pack_graph6, _row_strings, _triangle_bits, from_graph6
+from .graphs import Graph, _pack_graph6, _row_strings, _triangle_bits, _triangle_rows, from_graph6
 
 
 @dataclass(frozen=True, order=True)
@@ -439,8 +441,9 @@ def canonical_labeling(g: Graph) -> tuple[int, ...]:
 
 
 def canonical_form(g: Graph) -> Graph:
-    """The canonically relabeled copy of g (identical for isomorphic inputs)."""
-    return certificate_graph(canonical_certificate(g))
+    """The canonically relabeled copy of g (identical for isomorphic inputs),
+    decoded from its search key."""
+    return Graph._unchecked(g.n, _triangle_rows(g.n, _CanonicalSearch(g.rows, g.n).run().best_key))
 
 
 def canonical_certificate(g: Graph) -> CanonicalCertificate:
@@ -494,12 +497,13 @@ def nonisomorphic_graphs(n: int) -> tuple[Graph, ...]:
 
     Built by extending each (n-1)-vertex class with a new vertex, attached
     to every neighborhood that gives the new vertex the child's maximum
-    degree, then deduplicating by certificate.  Nothing is lost: any graph G
-    is (G - v) + v for a vertex v of maximum degree, G - v is isomorphic to
-    an (n-1)-vertex class, and that class extended by the image of v's
-    neighborhood is a kept child isomorphic to G.
-    Each class is decoded from its certificate, so every returned graph is
-    in canonical form.  A cold n = 8 takes 1.7-2.2 s on a 2-vCPU machine
+    degree, then deduplicating by the canonical search's best key, which
+    packs to the certificate.  Nothing is lost: any graph G is (G - v) + v
+    for a vertex v of maximum degree, G - v is isomorphic to an (n-1)-vertex
+    class, and that class extended by the image of v's neighborhood is a
+    kept child isomorphic to G.
+    Each class is decoded from its search key, so every returned graph is
+    in canonical form.  A cold n = 8 takes 1.3-2.2 s on a 2-vCPU machine
     (32,887 canonical searches over all levels) and is the exhaustive
     search's cap (``EXHAUSTIVE_CAP``); n >= 9 is unmeasured.  The counts 1,
     1, 2, 4, 11, 34, 156, 1044, 12346 for n = 0..8 make a handy self-check.
@@ -508,7 +512,7 @@ def nonisomorphic_graphs(n: int) -> tuple[Graph, ...]:
         raise ParameterError("vertex count must be nonnegative")
     if n == 0:
         return (Graph.empty(0),)
-    certs: set[CanonicalCertificate] = set()
+    keys: set[str] = set()
     for parent in nonisomorphic_graphs(n - 1):
         # at_degree[d]: the parent's vertices of degree d
         at_degree = [0] * n
@@ -523,5 +527,6 @@ def nonisomorphic_graphs(n: int) -> tuple[Graph, ...]:
                 continue
             rows = [r | ((mask >> v & 1) << (n - 1)) for v, r in enumerate(parent.rows)]
             rows.append(mask)
-            certs.add(canonical_certificate(Graph._unchecked(n, rows)))
-    return tuple(certificate_graph(c) for c in sorted(certs))
+            keys.add(_CanonicalSearch(tuple(rows), n).run().best_key)
+    # keys of one length sort as their graph6 certificates do
+    return tuple(Graph._unchecked(n, _triangle_rows(n, key)) for key in sorted(keys))

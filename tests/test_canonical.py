@@ -8,6 +8,7 @@ import pytest
 
 from satlab import (
     Graph,
+    ParameterError,
     are_isomorphic,
     automorphism_generators,
     automorphism_group_order,
@@ -77,6 +78,8 @@ def test_certificate_invariant_under_explicit_relabeling():
 def test_path_and_triangle_differ():
     assert canonical_certificate(P3) != canonical_certificate(Graph.complete(3))
     assert not are_isomorphic(P3, Graph.complete(3))
+    # equal n and m, degrees (2, 1, 1, 0) against (1, 1, 1, 1)
+    assert not are_isomorphic(Graph.from_edges(4, [(0, 1), (1, 2)]), perfect_matching(4))
 
 
 @pytest.mark.parametrize("n", range(2, 11))
@@ -97,11 +100,14 @@ def test_certificate_decodes_to_isomorphic_graph():
 
 
 def test_canonical_form_is_idempotent():
-    for seed in range(10):
-        g = random_graph(7, seed + 40)
+    graphs = [random_graph(7, seed + 40) for seed in range(10)]
+    # both header forms of the certificate, and up to the vertex cap
+    graphs += [random_graph(n, 4000 + n) for n in (0, 1, 2, 62, 63, 64, 128, 512)]
+    for g in graphs:
         cf = canonical_form(g)
         assert canonical_form(cf) == cf
         assert to_graph6(cf) == canonical_certificate(g).data
+        assert cf == certificate_graph(canonical_certificate(g))
 
 
 def test_certificates_agree_with_brute_force_classification():
@@ -202,6 +208,8 @@ def test_nonisomorphic_graph_counts():
     known = {0: 1, 1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156, 7: 1044}
     for n, expected in known.items():
         assert len(nonisomorphic_graphs(n)) == expected
+    with pytest.raises(ParameterError, match="nonnegative"):
+        nonisomorphic_graphs(-1)
 
 
 def test_nonisomorphic_graphs_search_counts(monkeypatch):

@@ -108,9 +108,15 @@ class TestCheck:
         code, out, _ = run(capsys, ["check", "--s", "4", str(path)])
         assert code == 0
 
-    def test_missing_file_exits_two(self, capsys):
+    def test_missing_file_exits_two(self, capsys, tmp_path):
         code, _, err = run(capsys, ["check", "--s", "4", "/nonexistent/file.g6"])
         assert code == 2
+        path = tmp_path / "graphs.g6"
+        path.write_bytes("Bé\n".encode("utf-8"))
+        code, out, err = run(capsys, ["check", "--s", "4", str(path)])
+        assert code == 2
+        assert out == ""
+        assert "input error: input is not ASCII" in err
 
 
 class TestCount:
@@ -235,10 +241,18 @@ class TestVerify:
     def test_missing_k_exits_two(self, capsys):
         code, _, _ = run(capsys, ["verify", "--theorem", "main", "--n-range", "4..5", "--s", "3"])
         assert code == 2
+        code, out, err = run(capsys, ["verify", "--theorem", "cliques", "--n-range", "4..5", "--s", "3"])
+        assert code == 2
+        assert out == ""
+        assert "input error: --r is required for --theorem cliques" in err
 
     def test_bad_range_exits_two(self, capsys):
         code, _, _ = run(capsys, ["verify", "--theorem", "ehm", "--n-range", "4-8", "--s", "3"])
         assert code == 2
+        code, out, err = run(capsys, ["verify", "--theorem", "ehm", "--n-range", "x..8", "--s", "3"])
+        assert code == 2
+        assert out == ""
+        assert "input error: bad range 'x..8'" in err
 
     def test_empty_range_exits_two(self, capsys):
         code, out, err = run(capsys, ["verify", "--theorem", "ehm", "--n-range", "8..4", "--s", "3"])

@@ -205,6 +205,10 @@ class TestM2Profile:
         # m = 3 solves to b = -2 degree-(n-1) vertices: unrealizable
         with pytest.raises(DomainError):
             m2_profile_formula(10, 4, 3)
+        with pytest.raises(DomainError, match="edge count must be nonnegative"):
+            m2_profile_formula(10, 4, -1)
+        with pytest.raises(DomainError, match="need n >= s >= 2"):
+            degree_profile_solution(3, 4, 3)
 
 
 class TestIndepLowerBound:

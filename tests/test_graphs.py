@@ -32,6 +32,10 @@ class TestGraphType:
     def test_rejects_loops(self):
         with pytest.raises(ParameterError):
             Graph(2, (0b01, 0b01))
+        with pytest.raises(ParameterError, match="loop edge at vertex 1"):
+            Graph.from_edges(3, [(0, 2), (1, 1)])
+        with pytest.raises(ParameterError, match="cannot add a loop"):
+            Graph.empty(3).with_edge(1, 1)
 
     def test_rejects_asymmetry(self):
         with pytest.raises(ParameterError):
@@ -44,6 +48,10 @@ class TestGraphType:
     def test_rejects_oversize(self):
         with pytest.raises(ParameterError):
             Graph.empty(513)
+
+    def test_rejects_wrong_row_count(self):
+        with pytest.raises(ParameterError, match="expected 3 adjacency rows, got 2"):
+            Graph(3, (0, 0))
 
     # the vertex count is checked before any row is built: -1 used to fail
     # on a negative shift in complete
@@ -84,11 +92,22 @@ class TestGraphType:
         assert g.relabel(perm).relabel(inv) == g
         with pytest.raises(ParameterError):
             g.relabel([0] * 8)
+        # against the relabeled edge list, across both sides of 64 bits and
+        # up to the vertex cap, from no edges to all of them
+        for n in (0, 1, 2, 8, 63, 64, 65, 128, 512):
+            for p in (0, 0.1, 0.5, 1):
+                g = random_graph(n, 3100 + n, p=p)
+                perm = random_permutation(n, 3200 + n)
+                expected = Graph.from_edges(n, [(perm[u], perm[v]) for u, v in g.edges()])
+                assert g.relabel(perm) == expected, (n, p)
+                assert g.relabel(range(n)) == g
 
     @pytest.mark.parametrize("u, v", [(0, 3), (0, -1), (-1, 0)])
     def test_with_edge_rejects_out_of_range_vertices(self, u, v):
         with pytest.raises(ParameterError, match="outside vertex range"):
             Graph.empty(3).with_edge(u, v)
+        with pytest.raises(ParameterError, match="outside vertex range"):
+            Graph.from_edges(3, [(0, 1), (u, v)])
 
 
 class TestMakeSplit:
@@ -219,6 +238,12 @@ class TestGraph6:
             from_graph6(b"~??A")  # long form used for n <= 62
         with pytest.raises(Graph6Error):
             from_graph6("héllo")  # not ASCII
+        with pytest.raises(Graph6Error, match="sizes above 258047") as exc:
+            from_graph6(b"~~??????")  # the 8-byte size header
+        assert exc.value.offset == 0
+        with pytest.raises(Graph6Error, match="size byte 62 outside") as exc:
+            from_graph6(b"~?>?")  # a long-form size byte below 63
+        assert exc.value.offset == 2
 
     def test_decode_rejects_oversize(self):
         # long-form header declaring n=4032, above the 512-vertex cap

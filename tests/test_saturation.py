@@ -35,6 +35,8 @@ class TestContainsClique:
     def test_complete_graph(self):
         for s in range(1, 7):
             assert contains_clique(Graph.complete(s), s)
+        with pytest.raises(ParameterError, match="at least 1"):
+            contains_clique(Graph.complete(3), 0)
 
     def test_c5_triangle_free(self):
         assert not contains_clique(C5, 3)
@@ -85,6 +87,10 @@ class TestCreatesClique:
             creates_clique_on_addition(Graph.complete(3), 0, 1, 3)
         with pytest.raises(ParameterError):
             creates_clique_on_addition(Graph.empty(3), 1, 1, 3)
+        with pytest.raises(ParameterError, match="outside 0..2"):
+            creates_clique_on_addition(Graph.empty(3), 0, 3, 3)
+        with pytest.raises(ParameterError, match="at least 2"):
+            creates_clique_on_addition(Graph.empty(3), 0, 1, 1)
 
 
 class TestCheckSaturation:

@@ -278,3 +278,5 @@ class TestProbeConjecture:
             probe_conjecture([3], 4, 2, samples=2, seed=0)
         with pytest.raises(ParameterError):
             probe_conjecture([8], 4, 2, samples=0, seed=0)
+        with pytest.raises(ParameterError, match="clique order must be at least 3"):
+            probe_conjecture([8], 2, 2, samples=2, seed=0)
