@@ -184,9 +184,7 @@ class Graph:
         if sorted(p) != list(range(self.n)):
             raise ParameterError("relabeling is not a permutation of 0..n-1")
         # position perm[v] holds old vertex v
-        lab = [0] * self.n
-        for v, nv in enumerate(p):
-            lab[nv] = v
+        lab = sorted(range(self.n), key=p.__getitem__)
         bits = _triangle_bits(_row_strings(self.n, self.rows), lab)
         return Graph._unchecked(self.n, _triangle_rows(self.n, bits))
 
