@@ -15,18 +15,20 @@ and ``from_graph6`` is its exact inverse.  The canonical search builds
 those strings for each candidate labeling: ``_row_strings`` formats every
 row once as a '0'/'1' string indexed by vertex, all of one length, and
 ``_triangle_bits`` reads the relabeled upper triangle from them in payload
-order.  That pair, ``_triangle_bits`` and its inverse ``_triangle_rows``,
-is the one way a labeling becomes rows: ``relabel`` reads the triangle
-under its labeling and decodes it, ``canonical_form`` and the classes of
-``canonical.nonisomorphic_graphs`` decode the search's best key, and
-``from_graph6`` decodes its payload bits.  Neither the keys, the decoder
-nor ``relabel`` loops over bits in Python.  By symmetry, column j of the
-triangle relabeled by lab, x_{lab[i],lab[j]} for i < j, is character
-lab[j] of the rows lab[0..j-1]: joined in label order into one string,
-those rows yield the column as a single slice stepping by the row length.
-The decoder's ``_triangle_rows`` zero-fills each column to n characters
-and joins them, so the upper half of row v, x_{v,u} for u > v, is one
-slice stepping by n.  This module keeps all knowledge of that bit order.
+order.  Its inverse ``_triangle_rows`` turns such a string back into rows:
+``from_graph6`` decodes its payload bits with it, and ``canonical_form``
+and the classes of ``canonical.nonisomorphic_graphs`` decode the search's
+best key.  Neither the keys nor the decoder loops over bits in Python.
+``relabel`` does, one step per bit set: the triangle pair costs O(n^2)
+characters whatever the edge count, which is slower on the sparse graphs
+(split graphs among them) its one caller, the k >= 4 matching DP in
+``counting``, relabels.  By symmetry, column j of the triangle relabeled
+by lab, x_{lab[i],lab[j]} for i < j, is character lab[j] of the rows
+lab[0..j-1]: joined in label order into one string, those rows yield the
+column as a single slice stepping by the row length.  The decoder's
+``_triangle_rows`` zero-fills each column to n characters and joins them,
+so the upper half of row v, x_{v,u} for u > v, is one slice stepping by
+n.  This module keeps all knowledge of that bit order.
 
 ``Graph(n, rows)`` validates every row: no bits outside 0..n-1, no loops,
 symmetric adjacency.  ``Graph._unchecked(n, rows)`` checks only n against
@@ -183,10 +185,15 @@ class Graph:
         p = tuple(perm)
         if sorted(p) != list(range(self.n)):
             raise ParameterError("relabeling is not a permutation of 0..n-1")
-        # position perm[v] holds old vertex v
-        lab = sorted(range(self.n), key=p.__getitem__)
-        bits = _triangle_bits(_row_strings(self.n, self.rows), lab)
-        return Graph._unchecked(self.n, _triangle_rows(self.n, bits))
+        rows = [0] * self.n
+        for v, row in enumerate(self.rows):
+            nv = p[v]
+            r = row
+            while r:
+                low = r & -r
+                rows[nv] |= 1 << p[low.bit_length() - 1]
+                r ^= low
+        return Graph._unchecked(self.n, rows)
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.edge_count})"
