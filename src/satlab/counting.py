@@ -14,12 +14,14 @@ references for the closed forms.
 
 The general matching counter scans vertices in degree-ascending order
 and, at each step, either leaves the current vertex unmatched or pairs it
-with a remaining neighbor.  Subproblems are keyed by the bitmask of
-remaining vertices and memoized; on graphs whose low-degree vertices have
-small joint neighborhoods (stars, split graphs, sparse saturated graphs)
-the state space collapses and counts that would be astronomically
-expensive to enumerate copy-by-copy come out in milliseconds.  The general
-independent-set counter recurses over non-neighborhoods.
+with a remaining neighbor.  It scans the graph in place, carrying its
+position in the degree order alongside the bitmask of remaining vertices.
+Subproblems are keyed by that bitmask and memoized; on graphs whose
+low-degree vertices have small joint neighborhoods (stars, split graphs,
+sparse saturated graphs) the state space collapses and counts that would
+be astronomically expensive to enumerate copy-by-copy come out in
+milliseconds.  The general independent-set counter recurses over
+non-neighborhoods.
 """
 
 from __future__ import annotations
@@ -78,16 +80,17 @@ def count_matchings(g: Graph, k: int) -> int:
 def _count_matchings_dp(g: Graph, k: int) -> int:
     """k-matchings by the memoized degree-ordered vertex scan, any k >= 0."""
     n = g.n
-    # relabel by ascending degree so the scan pivot is always the lowest bit
+    # position i of the scan is vertex order[i]: its bit and its row, in the
+    # graph's own labels.  Every position before pos is already gone, so the
+    # pivot is the first active one from pos on; active alone decides it, as
+    # it decides the count, so pos stays out of the memo key
     order = sorted(range(n), key=lambda v: (g.rows[v].bit_count(), v))
-    perm = [0] * n
-    for pos, v in enumerate(order):
-        perm[v] = pos
-    rows = g.relabel(perm).rows
+    bits = [1 << v for v in order]
+    rows = [g.rows[v] for v in order]
 
     memo: dict[int, int] = {}
 
-    def rec(active: int, need: int) -> int:
+    def rec(active: int, need: int, pos: int) -> int:
         if need == 0:
             return 1
         if active.bit_count() < 2 * need:
@@ -96,18 +99,20 @@ def _count_matchings_dp(g: Graph, k: int) -> int:
         hit = memo.get(key)
         if hit is not None:
             return hit
-        pivot = active & -active
-        rest = active ^ pivot
-        total = rec(rest, need)
-        nb = rows[pivot.bit_length() - 1] & rest
+        while not active & bits[pos]:
+            pos += 1
+        rest = active ^ bits[pos]
+        nb = rows[pos] & rest
+        pos += 1
+        total = rec(rest, need, pos)
         while nb:
             low = nb & -nb
             nb ^= low
-            total += rec(rest ^ low, need - 1)
+            total += rec(rest ^ low, need - 1, pos)
         memo[key] = total
         return total
 
-    return rec((1 << n) - 1, k)
+    return rec((1 << n) - 1, k, 0)
 
 
 def count_m2_via_degrees(g: Graph) -> int:

@@ -15,15 +15,14 @@ and ``from_graph6`` is its exact inverse.  The canonical search builds
 those strings for each candidate labeling: ``_row_strings`` formats every
 row once as a '0'/'1' string indexed by vertex, all of one length, and
 ``_triangle_bits`` reads the relabeled upper triangle from them in payload
-order.  Its inverse ``_triangle_rows`` turns such a string back into rows:
-``from_graph6`` decodes its payload bits with it, and ``canonical_form``
-and the classes of ``canonical.nonisomorphic_graphs`` decode the search's
-best key.  Neither the keys nor the decoder loops over bits in Python.
-``relabel`` does, one step per bit set: the triangle pair costs O(n^2)
-characters whatever the edge count, which is slower on the sparse graphs
-(split graphs among them) its one caller, the k >= 4 matching DP in
-``counting``, relabels.  By symmetry, column j of the triangle relabeled
-by lab, x_{lab[i],lab[j]} for i < j, is character lab[j] of the rows
+order.  That pair, ``_triangle_bits`` and its inverse ``_triangle_rows``,
+is the one way a labeling becomes payload bits or rows: ``to_graph6``
+reads the triangle under the identity labeling, ``relabel`` reads it under
+its labeling and decodes it, ``from_graph6`` decodes its payload bits, and
+``canonical_form`` and the classes of ``canonical.nonisomorphic_graphs``
+decode the search's best key.  Neither direction loops over bits in
+Python.  By symmetry, column j of the triangle relabeled by lab,
+x_{lab[i],lab[j]} for i < j, is character lab[j] of the rows
 lab[0..j-1]: joined in label order into one string, those rows yield the
 column as a single slice stepping by the row length.  The decoder's
 ``_triangle_rows`` zero-fills each column to n characters and joins them,
@@ -185,15 +184,10 @@ class Graph:
         p = tuple(perm)
         if sorted(p) != list(range(self.n)):
             raise ParameterError("relabeling is not a permutation of 0..n-1")
-        rows = [0] * self.n
-        for v, row in enumerate(self.rows):
-            nv = p[v]
-            r = row
-            while r:
-                low = r & -r
-                rows[nv] |= 1 << p[low.bit_length() - 1]
-                r ^= low
-        return Graph._unchecked(self.n, rows)
+        # position perm[v] holds old vertex v
+        lab = sorted(range(self.n), key=p.__getitem__)
+        bits = _triangle_bits(_row_strings(self.n, self.rows), lab)
+        return Graph._unchecked(self.n, _triangle_rows(self.n, bits))
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.edge_count})"
@@ -329,9 +323,7 @@ def _pack_graph6(n: int, bits: str) -> bytes:
 
 def to_graph6(g: Graph) -> bytes:
     """Encode to graph6 bytes (no trailing newline, no '>>graph6<<' header)."""
-    # column v, x_{0,v} first, is the low v bits of rows[v] in reverse
-    bits = "".join([format(g.rows[v] & ((1 << v) - 1), f"0{v}b")[::-1] for v in range(1, g.n)])
-    return _pack_graph6(g.n, bits)
+    return _pack_graph6(g.n, _triangle_bits(_row_strings(g.n, g.rows), list(range(g.n))))
 
 
 def from_graph6(data: bytes | str) -> Graph:

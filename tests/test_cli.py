@@ -9,10 +9,12 @@ from satlab import (
     count_cliques,
     from_graph6,
     make_split,
+    matchings_in_split_exact,
     sat_cliques_formula,
     to_graph6,
 )
 from satlab.cli import main
+from oracles import random_permutation
 
 
 def run(capsys, argv, stdin=None, monkeypatch=None):
@@ -138,6 +140,17 @@ class TestCount:
         )
         assert code == 0
         assert int(out.strip()) == sat_cliques_formula(10, 3, 6) == count_cliques(make_split(10, 4), 3)
+
+    def test_relabeled_split_matchings_match_closed_form(self, capsys, tmp_path):
+        # k = 4 takes the memoized DP; q >= 4 makes the counts nonzero
+        shapes = [(12, 4), (65, 6), (128, 5), (70, 2)]
+        path = tmp_path / "splits.g6"
+        path.write_text(
+            "".join(g6(make_split(n, q).relabel(random_permutation(n, n + q))) + "\n" for n, q in shapes)
+        )
+        code, out, _ = run(capsys, ["count", "--motif", "matching:4", str(path)])
+        assert code == 0
+        assert out.split() == [str(matchings_in_split_exact(n, q + 2, 4)) for n, q in shapes]
 
     def test_one_line_per_graph(self, capsys, monkeypatch):
         lines = g6(Graph.complete(4)) + "\n" + g6(Graph.empty(4))

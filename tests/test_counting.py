@@ -13,6 +13,7 @@ from satlab import (
     count_motif,
     make_split,
     matching_number,
+    matchings_in_split_exact,
     random_saturated,
     sat_cliques_formula,
 )
@@ -161,6 +162,25 @@ class TestClosedForms:
                     assert count_matchings(g, k) == _count_matchings_dp(g, k)
                 for l in (2, 3):
                     assert count_indep_sets(g, l) == math.comb(n - q, l)
+
+
+class TestMatchingDpBeyondOneWord:
+    """The k >= 4 DP above 64 vertices, on labelings whose degree order is not label order."""
+
+    @pytest.mark.parametrize("k", [4, 5])
+    @pytest.mark.parametrize("n", [65, 128, 512])
+    def test_relabeled_split_graphs(self, n, k):
+        # q = 5 puts k <= q, where the count is not zero
+        for q in (1, 2, 3, 5):
+            g = make_split(n, q).relabel(random_permutation(n, 31 * n + q))
+            assert [v for v in range(n) if g.degree(v) == n - 1] != list(range(q))
+            assert _count_matchings_dp(g, k) == matchings_in_split_exact(n, q + 2, k), q
+
+    @pytest.mark.parametrize("k", [4, 5])
+    def test_perfect_matching_and_empty_graph_on_512(self, k):
+        g = Graph.from_edges(512, [(2 * i, 2 * i + 1) for i in range(256)])
+        assert _count_matchings_dp(g, k) == math.comb(256, k)
+        assert _count_matchings_dp(Graph.empty(512), k) == 0
 
 
 class TestCountCliques:

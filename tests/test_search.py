@@ -20,6 +20,7 @@ from satlab import (
     enumerate_saturated,
     extremal_count,
     make_split,
+    matchings_in_split_exact,
     nonisomorphic_graphs,
     probe_conjecture,
     random_saturated,
@@ -264,6 +265,12 @@ class TestProbeConjecture:
     def test_zero_split_column_beyond_clique_part(self):
         rows = probe_conjecture(range(8, 11), 4, 3, samples=3, seed=2)
         assert all(row.split_count == 0 for row in rows)
+
+    def test_split_column_matches_closed_form_at_k4(self):
+        rows = probe_conjecture(range(8, 12), 6, 4, samples=2, seed=5)
+        assert [row.n for row in rows] == [8, 9, 10, 11]
+        for row in rows:
+            assert row.split_count == matchings_in_split_exact(row.n, 6, 4) > 0
 
     def test_sampled_min_dominates_exhaustive_min(self):
         rows = probe_conjecture([6, 7], 3, 2, samples=8, seed=3)
