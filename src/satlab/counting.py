@@ -9,6 +9,8 @@ subset, never per labeling.
 Matchings with k = 2 or 3 edges and independent sets with l = 2 or 3
 vertices take closed forms in the edge count m, the degrees d_v and the
 triangle count t: one pass over the degrees and one bitset AND per edge.
+M_3 takes both of its edge sums, the degree products and the common
+neighborhoods that give t, from a single pass over the edges.
 Other sizes take the general paths below, which the tests also use as
 references for the closed forms.
 
@@ -143,15 +145,18 @@ def _count_m3(g: Graph) -> int:
     deg = [r.bit_count() for r in rows]
     m = sum(deg) // 2
     edge_term = 0
+    common = 0
     for v, row in enumerate(rows):
         r = row >> (v + 1) << (v + 1)
         while r:
             low = r & -r
             r ^= low
-            edge_term += (deg[v] - 1) * (deg[low.bit_length() - 1] - 1)
+            u = low.bit_length() - 1
+            edge_term += (deg[v] - 1) * (deg[u] - 1)
+            common += (row & rows[u]).bit_count()
     paths = sum(comb(d, 2) for d in deg)
     stars = sum(comb(d, 3) for d in deg)
-    value = comb(m, 3) - (m - 2) * paths + edge_term + 2 * stars - _count_triangles(rows)
+    value = comb(m, 3) - (m - 2) * paths + edge_term + 2 * stars - common // 3
     assert value >= 0
     return value
 

@@ -147,14 +147,13 @@ class Graph:
         return bool((self.rows[u] >> v) & 1)
 
     def edges(self) -> Iterator[tuple[int, int]]:
-        for v in range(self.n):
-            r = self.rows[v] >> (v + 1)
-            u = v + 1
+        """Edges uv with u < v, in lexicographic order."""
+        for v, row in enumerate(self.rows):
+            r = row >> (v + 1) << (v + 1)
             while r:
-                if r & 1:
-                    yield (v, u)
-                r >>= 1
-                u += 1
+                low = r & -r
+                r ^= low
+                yield (v, low.bit_length() - 1)
 
     def non_edges(self) -> Iterator[tuple[int, int]]:
         """Missing edges uv with u < v, in lexicographic order."""

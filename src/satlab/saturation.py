@@ -11,6 +11,10 @@ that clique also lies in N(u) & N(w) for every open w it is fully joined
 to, so all those non-edges uw are settled by the one search.  Only when
 no clique exists is uv a failure, and v alone is settled.  Failures come
 out in lexicographic order.
+
+The clique searches recurse one vertex at a time, so every search, from
+the K_s test to the sampler's K_{s-2} test, ends in sizes 2 and 3.
+Those two run as flat loops over the candidate bits, with no call.
 """
 
 from __future__ import annotations
@@ -22,7 +26,12 @@ from .graphs import Graph
 
 
 def _has_clique(rows, cand: int, size: int) -> bool:
-    """Does the candidate set contain a clique of the given size?"""
+    """Does the candidate set contain a clique of the given size?
+
+    Sizes 2 and 3 run as flat bit loops with no call: every larger search
+    recurses down to them, so they carry most of the work.  The size-3 loops
+    stop once too few candidates are left to finish a triangle; ``x & (x - 1)``
+    is nonzero while x holds at least two."""
     if size <= 1:
         return size <= 0 or cand != 0
     if size == 2:
@@ -32,9 +41,18 @@ def _has_clique(rows, cand: int, size: int) -> bool:
             if cand & rows[low.bit_length() - 1]:
                 return True
         return False
-    while cand:
-        if cand.bit_count() < size:
-            return False
+    if size == 3:
+        while cand.bit_count() >= 3:
+            low = cand & -cand
+            cand ^= low
+            sub = cand & rows[low.bit_length() - 1]
+            while sub & (sub - 1):
+                low = sub & -sub
+                sub ^= low
+                if sub & rows[low.bit_length() - 1]:
+                    return True
+        return False
+    while cand.bit_count() >= size:
         low = cand & -cand
         cand ^= low
         if _has_clique(rows, cand & rows[low.bit_length() - 1], size - 1):
@@ -46,15 +64,38 @@ def _witness(rows, cand: int, size: int, reach: int) -> int:
     """``reach`` restricted to the common neighborhood of the first clique
     of the given size found in the candidate set, or 0 if there is none.
 
-    Callers pass a ``reach`` holding a vertex adjacent to every candidate,
-    so a found clique never yields 0."""
+    The first clique is the least in lexicographic order of its sorted
+    vertices.  Sizes 2 and 3 run flat, as in ``_has_clique``.  Callers pass
+    a ``reach`` holding a vertex adjacent to every candidate, so a found
+    clique never yields 0."""
     if size <= 0:
         return reach
     if size == 1:
         return cand and reach & rows[(cand & -cand).bit_length() - 1]
-    while cand:
-        if cand.bit_count() < size:
-            return 0
+    if size == 2:
+        while cand:
+            low = cand & -cand
+            cand ^= low
+            row = rows[low.bit_length() - 1]
+            sub = cand & row
+            if sub:
+                return reach & row & rows[(sub & -sub).bit_length() - 1]
+        return 0
+    if size == 3:
+        while cand.bit_count() >= 3:
+            low = cand & -cand
+            cand ^= low
+            row = rows[low.bit_length() - 1]
+            sub = cand & row
+            while sub & (sub - 1):
+                low = sub & -sub
+                sub ^= low
+                row2 = rows[low.bit_length() - 1]
+                third = sub & row2
+                if third:
+                    return reach & row & row2 & rows[(third & -third).bit_length() - 1]
+        return 0
+    while cand.bit_count() >= size:
         low = cand & -cand
         cand ^= low
         row = rows[low.bit_length() - 1]

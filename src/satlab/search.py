@@ -146,8 +146,10 @@ def random_saturated(n: int, s: int, seed: int) -> Graph:
     lexicographic pair list, drawn as CPython's ``shuffle`` draws it, and
     inserts each edge unless its insertion would complete an s-clique, i.e.
     unless the current common neighborhood of the endpoints contains
-    K_{s-2}.  Deterministic for a given seed; two digests in the tests pin
-    the rows, and a test pins the order against ``shuffle`` itself.
+    K_{s-2}.  At s = 3 any common neighbor is that K_1, so no clique
+    search runs; at s >= 4 the size-(s-2) test does.  Deterministic for a
+    given seed; two digests in the tests pin the rows, and a test pins the
+    order against ``shuffle`` itself.
     """
     if n < 1:
         raise ParameterError("vertex count must be positive")
@@ -158,7 +160,7 @@ def random_saturated(n: int, s: int, seed: int) -> Graph:
     rows = [0] * n
     for u, v in _shuffled_pairs(n, seed):
         cand = rows[u] & rows[v]
-        if not cand or not _has_clique(rows, cand, s - 2):
+        if not cand or s > 3 and not _has_clique(rows, cand, s - 2):
             rows[u] |= 1 << v
             rows[v] |= 1 << u
     return Graph._unchecked(n, rows)

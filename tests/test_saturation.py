@@ -1,5 +1,8 @@
 import hashlib
 import json
+from functools import reduce
+from itertools import combinations
+from operator import and_
 
 import pytest
 
@@ -14,9 +17,11 @@ from satlab import (
     nonisomorphic_graphs,
     random_saturated,
 )
+from satlab.saturation import _witness
 from oracles import (
     all_labeled_graphs,
     naive_contains_clique,
+    naive_count_cliques,
     naive_is_saturated,
     random_graph,
     reference_saturation_report,
@@ -24,6 +29,16 @@ from oracles import (
 
 C5 = Graph.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)])
 P4 = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
+
+
+def clique_draws(p):
+    """Seeded G(n, p) on 9 and 10 vertices, small enough for the oracles."""
+    return [random_graph(n, 9700 + 10 * n + seed, p) for n in (9, 10) for seed in range(6)]
+
+
+def naive_creates(g, u, v, s):
+    """Adding uv creates an s-clique: the oracle's count of s-cliques rises."""
+    return naive_count_cliques(g.with_edge(u, v), s) > naive_count_cliques(g, s)
 
 
 class TestContainsClique:
@@ -50,6 +65,15 @@ class TestContainsClique:
     def test_matches_naive(self):
         for g in all_labeled_graphs(5):
             for s in (2, 3, 4):
+                assert contains_clique(g, s) == naive_contains_clique(g, s)
+
+    @pytest.mark.parametrize("p", [0.5, 0.7, 0.9])
+    def test_matches_naive_up_to_six(self, p):
+        # the flat size-2 and size-3 loops end every search, from the top
+        # (s = 2, 3) and below one or more levels of recursion (s = 4..6);
+        # dense draws hold K_5 and K_6, sparser ones only smaller cliques
+        for g in clique_draws(p):
+            for s in range(2, 7):
                 assert contains_clique(g, s) == naive_contains_clique(g, s)
 
 
@@ -81,6 +105,15 @@ class TestCreatesClique:
                     after = naive_contains_clique(g.with_edge(u, v), s)
                     before = naive_contains_clique(g, s)
                     assert after == (before or creates_clique_on_addition(g, u, v, s))
+
+    @pytest.mark.parametrize("p", [0.5, 0.7, 0.9])
+    def test_matches_naive_up_to_six(self, p):
+        # a common neighborhood often holds no edge, so at s = 4 the flat
+        # size-2 loop answers no as well as yes
+        for g in clique_draws(p):
+            for s in range(2, 7):
+                for u, v in g.non_edges():
+                    assert creates_clique_on_addition(g, u, v, s) == naive_creates(g, u, v, s)
 
     def test_existing_edge_rejected(self):
         with pytest.raises(ParameterError):
@@ -157,6 +190,35 @@ class TestCheckSaturation:
                 report = check_saturation(g, s)
                 if report.is_saturated and g.n >= s:
                     assert min(g.degree_sequence()) >= s - 2
+
+    @pytest.mark.parametrize("p", [0.5, 0.7, 0.9])
+    def test_witness_is_first_clique(self, p):
+        # the sweep settles what the lexicographically first K_{s-2} of the
+        # common neighborhood reaches; v itself is adjacent to all of it
+        for g in clique_draws(p):
+            full = (1 << g.n) - 1
+            for u, v in g.non_edges():
+                common = [w for w in range(g.n) if g.has_edge(u, w) and g.has_edge(v, w)]
+                cand = g.rows[u] & g.rows[v]
+                for size in range(5):
+                    # combinations come out in lexicographic order
+                    cliques = (
+                        c for c in combinations(common, size)
+                        if all(g.has_edge(a, b) for a, b in combinations(c, 2))
+                    )
+                    first = next(cliques, None)
+                    expected = 0 if first is None else reduce(and_, (g.rows[w] for w in first), full)
+                    assert _witness(g.rows, cand, size, full) == expected
+
+    @pytest.mark.parametrize("p", [0.5, 0.7, 0.9])
+    def test_failures_match_naive_up_to_six(self, p):
+        # the sweep's flat witness loops, against the oracle alone
+        for g in clique_draws(p):
+            for s in range(2, 7):
+                report = check_saturation(g, s)
+                assert report.is_free == (not naive_contains_clique(g, s))
+                expected = tuple((u, v) for u, v in g.non_edges() if not naive_creates(g, u, v, s))
+                assert report.missing_edge_failures == expected
 
     def test_json_dict(self):
         d = check_saturation(P4, 3).to_json_dict()
