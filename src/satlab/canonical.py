@@ -457,8 +457,7 @@ def certificate_graph(cert: CanonicalCertificate) -> Graph:
 
 
 def are_isomorphic(g: Graph, h: Graph) -> bool:
-    if g.n != h.n or g.edge_count != h.edge_count:
-        return False
+    # equal degree sequences have equal lengths n and equal sums 2m
     if g.degree_sequence() != h.degree_sequence():
         return False
     return canonical_certificate(g) == canonical_certificate(h)

@@ -9,8 +9,9 @@ subset, never per labeling.
 Matchings with k = 2 or 3 edges and independent sets with l = 2 or 3
 vertices take closed forms in the edge count m, the degrees d_v and the
 triangle count t: one pass over the degrees and one bitset AND per edge.
-M_3 takes both of its edge sums, the degree products and the common
-neighborhoods that give t, from a single pass over the edges.
+M_3 and I_3 share that edge pass, ``_edge_sums``: it returns both sums M_3
+needs, the degree products and the common neighborhoods that give t, and
+I_3 reads t from the second.
 Other sizes take the general paths below, which the tests also use as
 references for the closed forms.
 
@@ -68,10 +69,8 @@ def count_matchings(g: Graph, k: int) -> int:
     """Number of sets of k pairwise-disjoint edges."""
     if k < 0:
         raise ParameterError("matching size must be nonnegative")
-    if k == 0:
-        return 1
-    if g.n < 2 * k:
-        return 0
+    # the closed forms are exact at every n; the DP returns 1 at k = 0 and 0
+    # when fewer than 2k vertices remain
     if k == 2:
         return count_m2_via_degrees(g)
     if k == 3:
@@ -141,9 +140,20 @@ def _count_m3(g: Graph) -> int:
     (d_u-1)(d_v-1) + 3 sum C(d_v,3); sum C(j,3) counts the triples whose
     pairs all meet, the triangles and 3-stars, t + sum C(d_v,3).
     """
-    rows = g.rows
-    deg = [r.bit_count() for r in rows]
+    deg = [r.bit_count() for r in g.rows]
     m = sum(deg) // 2
+    edge_term, common = _edge_sums(g.rows, deg)
+    paths = sum(comb(d, 2) for d in deg)
+    stars = sum(comb(d, 3) for d in deg)
+    value = comb(m, 3) - (m - 2) * paths + edge_term + 2 * stars - common // 3
+    assert value >= 0
+    return value
+
+
+def _edge_sums(rows: tuple[int, ...], deg: list[int]) -> tuple[int, int]:
+    """One pass over the edges: sum_{uv in E} (d_u-1)(d_v-1) and
+    sum_{uv in E} |N(u) & N(v)|, which is 3t, as each triangle is seen
+    from its three edges."""
     edge_term = 0
     common = 0
     for v, row in enumerate(rows):
@@ -154,23 +164,7 @@ def _count_m3(g: Graph) -> int:
             u = low.bit_length() - 1
             edge_term += (deg[v] - 1) * (deg[u] - 1)
             common += (row & rows[u]).bit_count()
-    paths = sum(comb(d, 2) for d in deg)
-    stars = sum(comb(d, 3) for d in deg)
-    value = comb(m, 3) - (m - 2) * paths + edge_term + 2 * stars - common // 3
-    assert value >= 0
-    return value
-
-
-def _count_triangles(rows: tuple[int, ...]) -> int:
-    """t = sum_{uv in E} |N(u) & N(v)| / 3: each triangle is seen from its three edges."""
-    common = 0
-    for v, row in enumerate(rows):
-        r = row >> (v + 1) << (v + 1)
-        while r:
-            low = r & -r
-            r ^= low
-            common += (row & rows[low.bit_length() - 1]).bit_count()
-    return common // 3
+    return edge_term, common
 
 
 def count_cliques(g: Graph, r: int) -> int:
@@ -214,8 +208,10 @@ def _count_i3(g: Graph) -> int:
     counts those triples twice and no others; of the rest, t are triangles.
     """
     n = g.n
-    mixed = sum(d * (n - 1 - d) for d in (r.bit_count() for r in g.rows))
-    return comb(n, 3) - mixed // 2 - _count_triangles(g.rows)
+    deg = [r.bit_count() for r in g.rows]
+    mixed = sum(d * (n - 1 - d) for d in deg)
+    common = _edge_sums(g.rows, deg)[1]
+    return comb(n, 3) - mixed // 2 - common // 3
 
 
 def _count_indep_sets_rec(g: Graph, l: int) -> int:

@@ -34,10 +34,10 @@ symmetric adjacency.  ``Graph._unchecked(n, rows)`` checks only n against
 ``MAX_VERTICES`` and the number of rows.  It is private to satlab and is
 called only where the rows are valid by construction: ``empty`` and
 ``complete``, the graph6 decoder, ``with_edge`` (after its range check),
-``complement``, ``relabel``, ``make_split``, ``join``,
-``search.random_saturated``, ``canonical.canonical_form`` and the decoded
-classes of ``canonical.nonisomorphic_graphs``.  Rows from anywhere else go
-through ``Graph``.
+``complement``, ``relabel``, ``join``, ``search.random_saturated``,
+``canonical.canonical_form`` and the decoded classes of
+``canonical.nonisomorphic_graphs``.  Rows from anywhere else go through
+``Graph``.
 """
 
 from __future__ import annotations
@@ -193,7 +193,7 @@ class Graph:
 
 
 def make_split(n: int, q: int) -> Graph:
-    """Split graph: a q-clique joined to an independent set of n-q vertices.
+    """Split graph S_{n,q}: the join of K_q and the empty graph on n-q vertices.
 
     Vertices 0..q-1 form the clique part and are adjacent to everything;
     vertices q..n-1 are pairwise non-adjacent.  The edge count is
@@ -203,14 +203,7 @@ def make_split(n: int, q: int) -> Graph:
         raise ParameterError(f"clique part size {q} outside 0..{n}")
     if n > MAX_VERTICES:
         raise ParameterError(f"vertex count {n} exceeds {MAX_VERTICES}")
-    full = (1 << n) - 1
-    clique_mask = (1 << q) - 1
-    rows = [0] * n
-    for v in range(q):
-        rows[v] = full ^ (1 << v)
-    for v in range(q, n):
-        rows[v] = clique_mask
-    return Graph._unchecked(n, rows)
+    return join(Graph.complete(q), Graph.empty(n - q))
 
 
 def join(g: Graph, h: Graph) -> Graph:

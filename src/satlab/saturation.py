@@ -15,6 +15,9 @@ out in lexicographic order.
 The clique searches recurse one vertex at a time, so every search, from
 the K_s test to the sampler's K_{s-2} test, ends in sizes 2 and 3.
 Those two run as flat loops over the candidate bits, with no call.
+``_has_clique`` and ``_witness`` stay two kernels because one kernel
+serving both, even one that returns at once for existence callers, made
+``check_saturation`` 2–7 % slower and the K_s test 1–6 % slower at s >= 4.
 """
 
 from __future__ import annotations

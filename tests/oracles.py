@@ -283,6 +283,72 @@ def schreier_sims_order(n: int, gens: list[tuple[int, ...]]) -> int:
     return prod(len(level) for level in reps)
 
 
+def random_cubic(n: int, seed: int) -> list[tuple[int, int]]:
+    """Edges uv, u < v, of a connected simple cubic graph on n vertices (n even).
+
+    The configuration model: shuffle three points per vertex and pair them
+    up in order, redrawing until the pairs hold no loop, no repeated edge
+    and one component.
+    """
+    rng = random.Random(seed)
+    points = [v for v in range(n) for _ in range(3)]
+    while True:
+        rng.shuffle(points)
+        edges = {tuple(sorted(points[i : i + 2])) for i in range(0, 3 * n, 2)}
+        if len(edges) < 3 * n // 2 or any(u == v for u, v in edges):
+            continue
+        reached, stack = {0}, [0]
+        while stack:
+            u = stack.pop()
+            for e in edges:
+                if u in e:
+                    w = e[0] + e[1] - u
+                    if w not in reached:
+                        reached.add(w)
+                        stack.append(w)
+        if len(reached) == n:
+            return sorted(edges)
+
+
+def cfi(base_edges: list[tuple[int, int]], twist_edge: tuple[int, int] | None) -> Graph:
+    """The Cai–Fürer–Immerman graph of a base graph, untwisted or twisted on one edge.
+
+    A base vertex v with edges E_v becomes one middle vertex per even-size
+    subset S of E_v and two end vertices (v, e, 0) and (v, e, 1) per edge e
+    in E_v; the middle vertex of S is joined to (v, e, 1) for e in S and to
+    (v, e, 0) for the other e.  A base edge e = uv joins (u, e, i) to
+    (v, e, i), or to (v, e, 1 - i) when e is the twisted edge.  On a
+    connected base, twisting any one edge gives one graph up to
+    isomorphism, and not the untwisted one (Cai, Fürer & Immerman 1992,
+    Combinatorica 12).  On a cubic base on N vertices both are cubic graphs
+    on 10N vertices, so colour refinement leaves each as one cell.
+    Vertices are numbered in order of first use.
+    """
+    base_edges = [tuple(sorted(e)) for e in base_edges]
+    twist = None if twist_edge is None else tuple(sorted(twist_edge))
+    assert twist is None or twist in base_edges
+    incident: dict[int, list[tuple[int, int]]] = {}
+    for e in base_edges:
+        for v in e:
+            incident.setdefault(v, []).append(e)
+    ids: dict[tuple, int] = {}
+
+    def vertex(key: tuple) -> int:
+        return ids.setdefault(key, len(ids))
+
+    edges = []
+    for v, es in sorted(incident.items()):
+        for size in range(0, len(es) + 1, 2):
+            for subset in combinations(es, size):
+                middle = vertex(("middle", v, subset))
+                edges += [(middle, vertex(("end", v, e, int(e in subset)))) for e in es]
+    for e in base_edges:
+        u, v = e
+        for i in (0, 1):
+            edges.append((vertex(("end", u, e, i)), vertex(("end", v, e, i ^ (e == twist)))))
+    return Graph.from_edges(len(ids), edges)
+
+
 def random_permutation(n: int, seed: int) -> list[int]:
     perm = list(range(n))
     random.Random(seed).shuffle(perm)

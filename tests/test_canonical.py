@@ -5,6 +5,7 @@ from math import comb, factorial
 
 import networkx as nx
 import pytest
+from networkx.algorithms.isomorphism import GraphMatcher
 
 from satlab import (
     Graph,
@@ -26,6 +27,8 @@ from oracles import (
     all_labeled_graphs,
     brute_automorphism_count,
     brute_certificate,
+    cfi,
+    random_cubic,
     random_graph,
     random_permutation,
     reference_refine,
@@ -80,6 +83,15 @@ def test_path_and_triangle_differ():
     assert not are_isomorphic(P3, Graph.complete(3))
     # equal n and m, degrees (2, 1, 1, 0) against (1, 1, 1, 1)
     assert not are_isomorphic(Graph.from_edges(4, [(0, 1), (1, 2)]), perfect_matching(4))
+
+
+def test_unequal_vertex_or_edge_counts_are_not_isomorphic():
+    # equal n, unequal m (P3 against K_3 is above)
+    assert not are_isomorphic(C5, Graph.empty(5))
+    # unequal n, with equal m and without
+    assert not are_isomorphic(P3, Graph.from_edges(4, [(0, 1), (1, 2)]))
+    assert not are_isomorphic(Graph.empty(3), Graph.empty(4))
+    assert not are_isomorphic(Graph.empty(0), Graph.empty(1))
 
 
 @pytest.mark.parametrize("n", range(2, 11))
@@ -549,3 +561,35 @@ def test_perfect_matching_group_orders():
     # S_2 wr S_{n/2}: swap inside each edge, permute the edges
     for n in [*range(2, 11, 2), 128]:
         assert automorphism_group_order(perfect_matching(n)) == 2 ** (n // 2) * factorial(n // 2), n
+
+
+# CFI graphs: colour refinement cannot tell the twisted graph from the
+# untwisted one, so these are the first inputs on which the search itself
+# must separate classes.  Each is 10 vertices per base vertex, all of degree 3
+CFI_BASES = {
+    "k4": (list(Graph.complete(4).edges()), 192),
+    "cube": (list(CUBE.edges()), 1536),
+    "petersen": (list(PETERSEN.edges()), 7680),
+    **{f"cubic{n}-{seed}": (random_cubic(n, seed), None) for n, seed in [(12, 1), (14, 2), (16, 3)]},
+}
+
+
+@pytest.mark.parametrize("name", list(CFI_BASES))
+def test_cfi_graphs(name):
+    base, order = CFI_BASES[name]
+    graphs = [cfi(base, None), cfi(base, base[0]), cfi(base, base[-1])]
+    certs = [canonical_certificate(g) for g in graphs]
+    untwisted, twisted, twisted_elsewhere = certs
+    assert untwisted != twisted
+    assert twisted == twisted_elsewhere
+    for g, cert in zip(graphs, certs):
+        for seed in range(2):
+            assert canonical_certificate(g.relabel(random_permutation(g.n, 5300 + seed))) == cert
+    # the twists along the base's cycle space, 2^(m - N + 1) of them, and a
+    # lift of each automorphism of the base
+    h = nx.Graph(base)
+    base_order = sum(1 for _ in GraphMatcher(h, h).isomorphisms_iter())
+    cycle_space = 2 ** (h.number_of_edges() - h.number_of_nodes() + 1)
+    assert automorphism_group_order(graphs[0]) == cycle_space * base_order
+    if order is not None:
+        assert cycle_space * base_order == order

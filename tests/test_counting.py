@@ -40,7 +40,8 @@ class TestCountMatchings:
             assert count_matchings(make_split(n, 1), 2) == 0
 
     def test_empty_matching_counts_once(self):
-        for g in (Graph.empty(0), Graph.empty(5), Graph.complete(6)):
+        small = [g for n in range(4) for g in all_labeled_graphs(n)]
+        for g in (*small, Graph.empty(5), Graph.complete(5), Graph.complete(6)):
             assert count_matchings(g, 0) == 1
 
     def test_k1_counts_edges(self):
@@ -121,6 +122,11 @@ class TestClosedForms:
         for k in (1, 2, 3):
             for n in range(2 * k):
                 assert count_matchings(Graph.complete(n), k) == 0
+        # every labeled graph, through both closed forms (k = 2, 3) and the DP
+        for n in range(6):
+            for g in all_labeled_graphs(n):
+                for k in range(max(2, n // 2 + 1), 7):
+                    assert count_matchings(g, k) == naive_count_matchings(g, k) == 0, (n, k)
         for n in range(3):
             assert count_indep_sets(Graph.empty(n), 3) == 0
         assert count_indep_sets(Graph.empty(1), 2) == 0

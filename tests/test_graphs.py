@@ -133,6 +133,13 @@ class TestMakeSplit:
             for v in range(u + 1, 8):
                 assert not g.has_edge(u, v)
 
+    @pytest.mark.parametrize("n, q", [(0, 0), (1, 1), (40, 3), (512, 0), (512, 3), (512, 512)])
+    def test_rows(self, n, q):
+        # each clique vertex is adjacent to all others, each other vertex to the clique part
+        full = (1 << n) - 1
+        rows = tuple(full ^ (1 << v) if v < q else (1 << q) - 1 for v in range(n))
+        assert make_split(n, q).rows == rows
+
     def test_edge_count_formula_grid(self):
         for n in range(0, 30, 3):
             for q in range(0, n + 1, 2):
