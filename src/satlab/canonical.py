@@ -66,14 +66,14 @@ the first: the prefix prune can cut a sibling of x in x's orbit.
   that search's final best key.
 * From the node, follow the chain of children each of which is the first
   tried whose subtree holds a leaf with key B.  No chain node is cut or
-  abandoned: its prefix key is a prefix of B, never above ``best_key``'s,
+  abandoned: its prefix key is a prefix of B, never above the best key's,
   and the earlier sibling that an orbit prune or a jump's generator would
   map onto it would hold such a leaf too.  So the chain is the best path,
   every node on it finishes, and no generator found below a chain node
   with prefix Q jumps above it: its union-find holds every generator found
   that fixes Q.
 * Let b be the chain child of that node.  Every other w in b's orbit under
-  Aut_Q is tried after b, once ``best_key`` is B, and its subtree holds a
+  Aut_Q is tried after b, once the best key is B, and its subtree holds a
   leaf with key B.  Either w is orbit-pruned, joined to b through earlier
   targets, or its search ends in a jump back to Q whose generator maps b
   onto w: at the latest its own chain reaches a leaf with key B, which
@@ -93,10 +93,10 @@ key is one strided slice (x_{lab[i],lab[j]} = x_{lab[j],lab[i]}), with no
 Python loop per bit.  The prefix prune reads the best key's leading
 characters: when a node's first t cells are singletons, every leaf below
 starts with those t labels, whose key is the first C(t,2) characters of the
-column-major leaf key, and a branch whose prefix key exceeds
-``best_key[:C(t,2)]`` is cut.  A certificate is the best key packed as
-graph6 bytes, the graph6 of the canonical form made without relabeling, so
-it decodes back to a concrete representative and sorts in a stable,
+column-major leaf key, and a branch whose prefix key exceeds the best
+key's first C(t,2) characters is cut.  A certificate is the best key packed
+as graph6 bytes, the graph6 of the canonical form made without relabeling,
+so it decodes back to a concrete representative and sorts in a stable,
 platform-free way.  ``canonical_form`` and the classes of
 ``nonisomorphic_graphs`` decode the best key itself with
 ``graphs._triangle_rows``; keys of one length sort as their certificates.
@@ -107,7 +107,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from math import factorial
-from typing import Iterable
 
 from .errors import ParameterError
 from .graphs import Graph, _pack_graph6, _row_strings, _triangle_bits, _triangle_rows, from_graph6
@@ -206,8 +205,10 @@ def _blocks(rows: tuple[int, ...], cell: list[int]) -> tuple[list[list[int]], li
     neighbourhood (cliques) or open neighbourhood (parts) then gives the
     blocks, and they are t blocks of c exactly when there are |C|/c groups
     with one outside part (c is read off v: the partition is equitable).  A
-    clique or a coclique is both kinds; it is taken as one block, which
-    gives the same group, generators and first leaf as |C| singletons.
+    clique of closed twins or a coclique of open ones is both kinds; there v
+    and w are twins, and grouping by their shared neighbourhood gives one
+    block, the cell itself, with the same group, generators and first leaf
+    as |C| singletons.
     """
     v, w = cell[0], cell[1]
     rv, rw = rows[v], rows[w]
@@ -215,13 +216,6 @@ def _blocks(rows: tuple[int, ...], cell: list[int]) -> tuple[list[list[int]], li
     adjacent = rv >> w & 1
     diff = rv ^ rw if adjacent else rv ^ rw ^ pair
     if diff == pair:
-        # a clique of closed twins, or a coclique of open ones, is one block
-        if adjacent:
-            r = rv | 1 << v
-            if all(rows[x] | 1 << x == r for x in cell):
-                return [cell], cell
-        elif all(rows[x] == rv for x in cell):
-            return [cell], cell
         union = adjacent
     else:
         union = not adjacent
@@ -272,12 +266,9 @@ class _CanonicalSearch:
         self.rows = rows
         self.n = n
         self.row_strings = _row_strings(n, rows)
-        self.first_key: str | None = None
-        self.first_lab: list[int] | None = None
-        self.first_path: list[int] | None = None
-        self.best_key: str | None = None
-        self.best_lab: list[int] | None = None
-        self.best_path: list[int] | None = None
+        # the first and the best leaf so far, each as (key, labeling, path)
+        self.first: tuple[str, list[int], list[int]] | None = None
+        self.best: tuple[str, list[int], list[int]] | None = None
         self.generators: list[tuple[int, ...]] = []
         # |Aut|: one factor per node on the first path
         self.order = 1
@@ -307,12 +298,12 @@ class _CanonicalSearch:
                 break
         if branch_at is None:
             return self._leaf([cell[0] for cell in cells], fixed)
-        first = self.best_key is None
+        first = self.best is None
         if not first:
             # all leaves below share the labels of the leading singletons, so
             # their keys start with partial
             partial = _triangle_bits(self.row_strings, [cells[i][0] for i in range(branch_at)])
-            if partial > self.best_key[: len(partial)]:
+            if partial > self.best[0][: len(partial)]:
                 return None
         modules = []
         for cell in cells[branch_at:]:
@@ -379,22 +370,21 @@ class _CanonicalSearch:
         if resume is not None:
             return resume
         for blocks, _ in modules:
-            for block in blocks:
-                for pair in zip(block, block[1:]):
-                    self._add_generator([pair])
-            for a, b in zip(blocks, blocks[1:]):
-                self._add_generator(zip(a, b))
+            swaps = [[pair] for block in blocks for pair in zip(block, block[1:])]
+            swaps += [list(zip(a, b)) for a, b in zip(blocks, blocks[1:])]
+            for pairs in swaps:
+                perm = list(range(self.n))
+                for a, b in pairs:
+                    perm[a], perm[b] = b, a
+                # it fixes the prefix of every node on the path
+                self._keep(tuple(perm), len(self.orbits))
         return None
 
-    def _add_generator(self, swaps: Iterable[tuple[int, int]]) -> None:
-        """Keep the involution swapping each pair, and join its orbits into
-        every node on the path (each fixes the prefix of all of them)."""
-        perm = list(range(self.n))
-        for a, b in swaps:
-            perm[a], perm[b] = b, a
-        gen = tuple(perm)
+    def _keep(self, gen: tuple[int, ...], depth: int) -> None:
+        """Keep a generator and join its orbits into the union-finds of the
+        first depth nodes on the path, those whose prefix it fixes."""
         self.generators.append(gen)
-        for parent in self.orbits:
+        for parent in self.orbits[:depth]:
             if parent is not None:
                 _merge(parent, gen)
 
@@ -406,49 +396,48 @@ class _CanonicalSearch:
         return parent
 
     def _leaf(self, lab: list[int], fixed: list[int]) -> int | None:
+        """Compare the leaf reached by path fixed, labeled lab, with the
+        first and the best leaf.  When its key equals one of theirs, keep
+        the automorphism between the two and return the depth to resume at;
+        otherwise return None, keeping the leaf as the best if it is smaller."""
         key = _triangle_bits(self.row_strings, lab)
-        if self.best_key is None:
-            self.first_key, self.first_lab, self.first_path = key, lab, fixed
-            self.best_key, self.best_lab, self.best_path = key, lab, fixed
+        if self.best is None:
+            self.first = self.best = key, lab, fixed
             return None
-        if key == self.first_key:
-            match_lab, match_path = self.first_lab, self.first_path
-        elif key == self.best_key:
-            match_lab, match_path = self.best_lab, self.best_path
+        if key == self.first[0]:
+            _, match_lab, match_path = self.first
+        elif key == self.best[0]:
+            _, match_lab, match_path = self.best
         else:
-            if key < self.best_key:
-                self.best_key, self.best_lab, self.best_path = key, lab, fixed
+            if key < self.best[0]:
+                self.best = key, lab, fixed
             return None
         perm = [0] * self.n
         for u, w in zip(match_lab, lab):
             perm[u] = w
-        gen = tuple(perm)
-        self.generators.append(gen)
-        # gen maps the matched path onto this one, so it fixes their common
+        # perm maps the matched path onto this one, so it fixes their common
         # prefix; below it this leaf's branch is the image of the matched one
         common = 0
         while match_path[common] == fixed[common]:
             common += 1
-        for parent in self.orbits[: common + 1]:
-            if parent is not None:
-                _merge(parent, gen)
+        self._keep(tuple(perm), common + 1)
         return common
 
 
 def canonical_labeling(g: Graph) -> tuple[int, ...]:
     """Canonical labeling as a tuple lab[position] = original vertex."""
-    return tuple(_CanonicalSearch(g.rows, g.n).run().best_lab)
+    return tuple(_CanonicalSearch(g.rows, g.n).run().best[1])
 
 
 def canonical_form(g: Graph) -> Graph:
     """The canonically relabeled copy of g (identical for isomorphic inputs),
     decoded from its search key."""
-    return Graph._unchecked(g.n, _triangle_rows(g.n, _CanonicalSearch(g.rows, g.n).run().best_key))
+    return Graph._unchecked(g.n, _triangle_rows(g.n, _CanonicalSearch(g.rows, g.n).run().best[0]))
 
 
 def canonical_certificate(g: Graph) -> CanonicalCertificate:
     """Permutation-invariant certificate; equal certificates mean isomorphic."""
-    return CanonicalCertificate(_pack_graph6(g.n, _CanonicalSearch(g.rows, g.n).run().best_key))
+    return CanonicalCertificate(_pack_graph6(g.n, _CanonicalSearch(g.rows, g.n).run().best[0]))
 
 
 def certificate_graph(cert: CanonicalCertificate) -> Graph:
@@ -526,6 +515,6 @@ def nonisomorphic_graphs(n: int) -> tuple[Graph, ...]:
                 continue
             rows = [r | ((mask >> v & 1) << (n - 1)) for v, r in enumerate(parent.rows)]
             rows.append(mask)
-            keys.add(_CanonicalSearch(tuple(rows), n).run().best_key)
+            keys.add(_CanonicalSearch(tuple(rows), n).run().best[0])
     # keys of one length sort as their graph6 certificates do
     return tuple(Graph._unchecked(n, _triangle_rows(n, key)) for key in sorted(keys))

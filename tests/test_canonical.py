@@ -22,7 +22,7 @@ from satlab import (
     nonisomorphic_graphs,
     to_graph6,
 )
-from satlab.canonical import _CanonicalSearch, _refine, canonical_labeling
+from satlab.canonical import _CanonicalSearch, _blocks, _refine, canonical_labeling
 from oracles import (
     all_labeled_graphs,
     brute_automorphism_count,
@@ -193,19 +193,30 @@ def test_automorphism_group_order_matches_permutation_count():
 
 @pytest.mark.parametrize("n", [32, 64])
 @pytest.mark.parametrize(
-    "family",
-    [Graph.empty, Graph.complete, perfect_matching, lambda n: make_split(n, 2)],
-    ids=["empty", "complete", "matching", "split2"],
+    "family,cells",
+    [
+        (Graph.empty, 1),
+        (Graph.complete, 1),
+        (perfect_matching, 1),
+        (lambda n: make_split(n, 2), 2),
+        # whole triangles only, so the root is one cell
+        (lambda n: disjoint_triangles(n - n % 3), 1),
+        (cocktail_party, 1),
+    ],
+    ids=["empty", "complete", "matching", "split2", "triangles", "cocktail"],
 )
-def test_symmetric_graphs_certify_with_few_generators(family, n):
+def test_symmetric_graphs_certify_with_few_generators(family, cells, n):
     # these searches used to keep every automorphism they met and did not
     # finish at n = 64; the degree sequence determines each of these classes
+    # but the disjoint triangles
     g = family(n)
     cert = canonical_certificate(g)
-    assert canonical_certificate(g.relabel(random_permutation(n, 4100 + n))) == cert
+    assert canonical_certificate(g.relabel(random_permutation(g.n, 4100 + n))) == cert
     decoded = certificate_graph(cert)
     assert sorted(decoded.degree_sequence()) == sorted(g.degree_sequence())
-    assert len(automorphism_generators(g)) <= n - 1
+    # each settles at the root: a cell of t blocks of c keeps t(c - 1)
+    # transpositions and t - 1 block swaps, one fewer than its size
+    assert len(automorphism_generators(g)) == g.n - cells
 
 
 def test_certificate_invariance_on_vertex_transitive_graphs():
@@ -464,6 +475,21 @@ def test_regular_non_uniform_graphs_certify(family, c, n):
     assert automorphism_group_order(g) == _clique_union_order(n, c)
     if family is perfect_matching and n == 512:
         assert automorphism_group_order(g) == 2**256 * factorial(256)
+
+
+def test_blocks_of_twin_cells_and_of_cells_led_by_twins():
+    # a clique of closed twins and a coclique of open ones are one block,
+    # the cell itself; when only the first two vertices of a cell are
+    # twins, grouping by their kind of neighbourhood gives the blocks, or
+    # None when the groups are not equal cliques
+    split = make_split(7, 3)
+    assert _blocks(split.rows, [0, 1, 2]) == ([[0, 1, 2]], [0, 1, 2])
+    assert _blocks(split.rows, [3, 4, 5, 6]) == ([[3, 4, 5, 6]], [3, 4, 5, 6])
+    pairs = [[0, 1], [2, 3], [4, 5]]
+    assert _blocks(perfect_matching(6).rows, list(range(6))) == (pairs, [0, 2, 4, 5, 3, 1])
+    assert _blocks(cocktail_party(6).rows, list(range(6))) == (pairs, [0, 1, 2, 3, 4, 5])
+    triangle_and_square = Graph.from_edges(7, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 6), (6, 3)])
+    assert _blocks(triangle_and_square.rows, list(range(7))) is None
 
 
 def _count_descends(monkeypatch) -> list[int]:
